@@ -7,11 +7,9 @@ from .lindblad import (
     dissipator_apply,
     occupation,
     rhs_apply,
-    rhs_evaluator,
     unvec,
     vec,
 )
-from .linalg import anticommutator, commutator, dagger, kron, partial_trace, trace
 from .model import (
     DIM,
     DIMS,
@@ -26,7 +24,7 @@ from .model import (
     total_hamiltonian,
     transition_ops,
 )
-from .observables import HeatCurrents, bath_currents, heat_current, reduced_populations
+from .observables import HeatCurrents, bath_currents, heat_current, partial_trace, reduced_populations
 from .solvers import (
     DensityMatrix,
     IntegrationError,

@@ -57,8 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--plot", help="output SVG path (overrides the config)")
     p_sweep.add_argument("--tol", type=float, default=1e-10, help="steady-state residual tolerance")
     p_sweep.add_argument("--threads", type=int, default=1, help="worker threads for grid points")
-    p_sweep.add_argument("--seed", type=int, default=None,
-                         help="reserved for future stochastic features; currently unused")
 
     p_evolve = sub.add_parser("evolve", help="integrate in time and record the bath currents")
     p_evolve.add_argument("--config", required=True, help="INI config file")
@@ -111,12 +109,13 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     if args.t_final <= 0 or args.samples < 1:
         raise ConfigError("t-final must be positive and samples at least 1")
     times = np.linspace(0.0, args.t_final, args.samples + 1)
+    liou = build_superoperator(h, channels)
     state = DensityMatrix.maximally_mixed(h.shape[0])
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("t,j_l,j_m,j_r\n")
         for i, t in enumerate(times):
             if i > 0:
-                state = evolve(state, h, channels, float(times[i] - times[i - 1]), dt_max=args.dt_max)
+                state = evolve(state, liou, float(times[i] - times[i - 1]), dt_max=args.dt_max)
             cur = bath_currents(h, channels, state.mat)
             fh.write(",".join(format(v, ".17g") for v in (t, cur.j_l, cur.j_m, cur.j_r)) + "\n")
     print(f"wrote {len(times)} samples to {args.out}")
@@ -167,7 +166,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     gap = -np.max(ev.real[np.abs(ev) > 1e-8])
     t_final = float(min(max(18.0 / gap, 200.0), 5e4))
     dt = float(min(0.05, 1.5 / np.max(np.abs(ev))))
-    evolved = evolve(DensityMatrix.maximally_mixed(h.shape[0]), h, channels, t_final=t_final, dt_max=dt)
+    evolved = evolve(DensityMatrix.maximally_mixed(h.shape[0]), liou, t_final=t_final, dt_max=dt)
     agree = trace_distance(evolved, result.state)
     report("solver agreement", agree <= 1e-6, f"trace distance {agree:.3e} at t={t_final:.0f}")
 

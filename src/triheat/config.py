@@ -80,19 +80,32 @@ class SweepSpec:
     plot_style: str | None = None
 
 
-def _eval_node(node: ast.expr, env: dict[str, float]) -> float:
+def _check_node(node: ast.expr) -> None:
+    """Reject anything but arithmetic over t_l/t_m/t_r, without evaluating."""
     if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        _check_node(node.left)
+        _check_node(node.right)
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        _check_node(node.operand)
+    elif isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+        pass
+    elif isinstance(node, ast.Name):
+        if node.id not in _DERIVED_NAMES:
+            raise ConfigError(f"unknown name {node.id!r} in derived expression")
+    else:
+        raise ConfigError(f"unsupported syntax in derived expression: {ast.dump(node)}")
+
+
+def _eval_node(node: ast.expr, env: dict[str, float]) -> float:
+    """Evaluate a tree that ``_check_node`` accepted."""
+    if isinstance(node, ast.BinOp):
         return _BINOPS[type(node.op)](_eval_node(node.left, env), _eval_node(node.right, env))
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+    if isinstance(node, ast.UnaryOp):
         val = _eval_node(node.operand, env)
         return -val if isinstance(node.op, ast.USub) else val
-    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+    if isinstance(node, ast.Constant):
         return float(node.value)
-    if isinstance(node, ast.Name):
-        if node.id not in env:
-            raise ConfigError(f"unknown name {node.id!r} in derived expression")
-        return env[node.id]
-    raise ConfigError(f"unsupported syntax in derived expression: {ast.dump(node)}")
+    return env[node.id]
 
 
 def compile_derived(name: str, expression: str) -> DerivedColumn:
@@ -101,9 +114,16 @@ def compile_derived(name: str, expression: str) -> DerivedColumn:
         tree = ast.parse(expression, mode="eval")
     except SyntaxError as exc:
         raise ConfigError(f"cannot parse derived column {name!r}: {expression!r}") from exc
-    probe = {n: 0.0 for n in _DERIVED_NAMES}
-    _eval_node(tree.body, probe)  # rejects unknown names and syntax up front
-    return DerivedColumn(name=name, expression=expression, fn=lambda env: _eval_node(tree.body, env))
+    _check_node(tree.body)
+
+    def fn(env: dict[str, float]) -> float:
+        try:
+            return _eval_node(tree.body, env)
+        except ZeroDivisionError:
+            at = ", ".join(f"{n} = {env[n]!r}" for n in _DERIVED_NAMES)
+            raise ConfigError(f"derived column {name!r} ({expression}) divides by zero at {at}") from None
+
+    return DerivedColumn(name=name, expression=expression, fn=fn)
 
 
 def _read_ini(path: str | Path) -> configparser.ConfigParser:

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .linalg import anticommutator, commutator, dagger, kron
 from .model import BathChannel
 
 # exp(700) is near the float64 overflow edge; beyond it the occupation is
@@ -54,8 +53,9 @@ def occupation(delta_e: float, temperature: float) -> float:
 
 def lindblad_term(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """L[A] rho = A rho A^dag - (1/2){A^dag A, rho}."""
-    ada = dagger(a) @ a
-    return a @ rho @ dagger(a) - 0.5 * anticommutator(ada, rho)
+    ad = a.conj().T
+    ada = ad @ a
+    return a @ rho @ ad - 0.5 * (ada @ rho + rho @ ada)
 
 
 def dissipator_apply(ch: BathChannel, rho: np.ndarray) -> np.ndarray:
@@ -63,54 +63,15 @@ def dissipator_apply(ch: BathChannel, rho: np.ndarray) -> np.ndarray:
     if rho.shape != ch.jump.shape:
         raise ValueError(f"dissipator_apply: rho shape {rho.shape} vs jump {ch.jump.shape}")
     n = occupation(ch.delta_e, ch.temperature)
-    return ch.kappa * (n * lindblad_term(dagger(ch.jump), rho) + (n + 1.0) * lindblad_term(ch.jump, rho))
+    return ch.kappa * (n * lindblad_term(ch.jump.conj().T, rho) + (n + 1.0) * lindblad_term(ch.jump, rho))
 
 
 def rhs_apply(h: np.ndarray, channels: Sequence[BathChannel], rho: np.ndarray) -> np.ndarray:
     """Full right-hand side: -i[H, rho] plus every channel dissipator."""
-    out = -1j * commutator(h, rho)
+    out = -1j * (h @ rho - rho @ h)
     for ch in channels:
         out = out + dissipator_apply(ch, rho)
     return out
-
-
-def rhs_evaluator(h: np.ndarray, channels: Sequence[BathChannel]) -> Callable[[np.ndarray], np.ndarray]:
-    """Precompiled form of ``rhs_apply`` for tight integration loops.
-
-    Folds the commutator and all anticommutator pieces into a single
-    non-Hermitian effective operator G = iH + K, and stacks the weighted
-    sandwich operators for batched evaluation:
-
-        rhs(rho) = -(G rho + rho G^dag) + sum_k B_k rho B_k^dag
-
-    Algebraically identical to ``rhs_apply``; differs only in floating-point
-    association order.
-    """
-    dim = h.shape[0]
-    half_anti = np.zeros((dim, dim), dtype=complex)
-    sandwiches = []
-    for ch in channels:
-        n = occupation(ch.delta_e, ch.temperature)
-        p = ch.jump
-        pd = dagger(p)
-        half_anti += 0.5 * ch.kappa * ((n + 1.0) * (pd @ p) + n * (p @ pd))
-        sandwiches.append(math.sqrt(ch.kappa * (n + 1.0)) * p)
-        sandwiches.append(math.sqrt(ch.kappa * n) * pd)
-    g = 1j * h + half_anti
-    gd = dagger(g)
-    if sandwiches:
-        b = np.array(sandwiches)
-        bd = b.conj().swapaxes(1, 2)
-
-        def rhs(rho: np.ndarray) -> np.ndarray:
-            return ((b @ rho) @ bd).sum(axis=0) - (g @ rho + rho @ gd)
-
-    else:
-
-        def rhs(rho: np.ndarray) -> np.ndarray:
-            return -(g @ rho + rho @ gd)
-
-    return rhs
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -128,12 +89,12 @@ def build_superoperator(h: np.ndarray, channels: Sequence[BathChannel]) -> Liouv
     """Assemble the dense matrix generator over column-stacked states."""
     dim = h.shape[0]
     eye = np.eye(dim, dtype=complex)
-    mat = -1j * (kron(eye, h) - kron(h.T, eye))
+    mat = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
     for ch in channels:
         n = occupation(ch.delta_e, ch.temperature)
-        for a, weight in ((ch.jump, ch.kappa * (n + 1.0)), (dagger(ch.jump), ch.kappa * n)):
-            ada = dagger(a) @ a
+        for a, weight in ((ch.jump, ch.kappa * (n + 1.0)), (ch.jump.conj().T, ch.kappa * n)):
+            ada = a.conj().T @ a
             mat += weight * (
-                kron(a.conj(), a) - 0.5 * kron(eye, ada) - 0.5 * kron(ada.T, eye)
+                np.kron(a.conj(), a) - 0.5 * np.kron(eye, ada) - 0.5 * np.kron(ada.T, eye)
             )
     return Liouvillian(matrix=mat, hamiltonian=h, channels=list(channels))

@@ -14,7 +14,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import dagger, kron
 
 DIMS = (2, 3, 2)
 DIM = 12
@@ -93,7 +92,7 @@ def transition_ops() -> TransitionOps:
     o01[0, 1] = 1.0
     o12 = np.zeros((3, 3), dtype=complex)
     o12[1, 2] = 1.0
-    return TransitionOps(sm, dagger(sm), o01, o12, dagger(o01), dagger(o12))
+    return TransitionOps(sm, sm.conj().T, o01, o12, o01.conj().T, o12.conj().T)
 
 
 def local_hamiltonians(p: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -110,9 +109,9 @@ def free_hamiltonian(p: SystemParams) -> np.ndarray:
     i2 = np.eye(2, dtype=complex)
     i3 = np.eye(3, dtype=complex)
     return (
-        kron(kron(h_left, i3), i2)
-        + kron(kron(i2, h_mid), i2)
-        + kron(kron(i2, i3), h_right)
+        np.kron(np.kron(h_left, i3), i2)
+        + np.kron(np.kron(i2, h_mid), i2)
+        + np.kron(np.kron(i2, i3), h_right)
     )
 
 
@@ -120,16 +119,16 @@ def interaction_lm(p: SystemParams) -> np.ndarray:
     """Excitation exchange between the left qubit and the qutrit 0<->1 transition."""
     ops = transition_ops()
     i2 = np.eye(2, dtype=complex)
-    term = kron(kron(ops.qubit_raise, ops.qutrit_lower_01), i2)
-    return p.g_lm * (term + dagger(term))
+    term = np.kron(np.kron(ops.qubit_raise, ops.qutrit_lower_01), i2)
+    return p.g_lm * (term + term.conj().T)
 
 
 def interaction_mr(p: SystemParams) -> np.ndarray:
     """Excitation exchange between the qutrit 0<->1 transition and the right qubit."""
     ops = transition_ops()
     i2 = np.eye(2, dtype=complex)
-    term = kron(kron(i2, ops.qutrit_lower_01), ops.qubit_raise)
-    return p.g_mr * (term + dagger(term))
+    term = np.kron(np.kron(i2, ops.qutrit_lower_01), ops.qubit_raise)
+    return p.g_mr * (term + term.conj().T)
 
 
 def total_hamiltonian(p: SystemParams) -> np.ndarray:
@@ -147,10 +146,10 @@ def bath_channels(p: SystemParams) -> list[BathChannel]:
     i2 = np.eye(2, dtype=complex)
     i3 = np.eye(3, dtype=complex)
     return [
-        BathChannel("L", kron(kron(ops.qubit_lower, i3), i2), p.e1, p.kappa_l, p.t_l),
-        BathChannel("M1", kron(kron(i2, ops.qutrit_lower_01), i2), p.e2, p.kappa_m, p.t_m),
-        BathChannel("M2", kron(kron(i2, ops.qutrit_lower_12), i2), p.e3 - p.e2, p.kappa_m, p.t_m),
-        BathChannel("R", kron(kron(i2, i3), ops.qubit_lower), p.e4, p.kappa_r, p.t_r),
+        BathChannel("L", np.kron(np.kron(ops.qubit_lower, i3), i2), p.e1, p.kappa_l, p.t_l),
+        BathChannel("M1", np.kron(np.kron(i2, ops.qutrit_lower_01), i2), p.e2, p.kappa_m, p.t_m),
+        BathChannel("M2", np.kron(np.kron(i2, ops.qutrit_lower_12), i2), p.e3 - p.e2, p.kappa_m, p.t_m),
+        BathChannel("R", np.kron(np.kron(i2, i3), ops.qubit_lower), p.e4, p.kappa_r, p.t_r),
     ]
 
 

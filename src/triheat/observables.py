@@ -8,13 +8,13 @@ a pure numerical residue and is checked, not reported.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .lindblad import dissipator_apply
-from .linalg import partial_trace
 from .model import DIMS, BathChannel
 
 _IMAG_TOL = 1e-11
@@ -54,6 +54,29 @@ def bath_currents(h: np.ndarray, channels: Sequence[BathChannel], rho: np.ndarra
         j_m=heat_current(h, [by_label["M1"], by_label["M2"]], rho),
         j_r=heat_current(h, [by_label["R"]], rho),
     )
+
+
+def partial_trace(rho: np.ndarray, dims: list[int], keep: int) -> np.ndarray:
+    """Trace out every tensor factor except ``dims[keep]``.
+
+    ``rho`` must act on the tensor-product space with factor dimensions
+    ``dims`` (leftmost factor slowest, matching ``np.kron`` order). The result
+    has dimension ``dims[keep]`` and the same trace as ``rho``.
+    """
+    dims = list(dims)
+    n = len(dims)
+    total = int(np.prod(dims))
+    if rho.shape != (total, total):
+        raise ValueError(f"partial_trace: dims {dims} inconsistent with shape {rho.shape}")
+    if not 0 <= keep < n:
+        raise ValueError(f"partial_trace: keep index {keep} out of range for {n} subsystems")
+    # rho as a 2n-index tensor: row indices a, b, c, ... and column indices
+    # that repeat the row letters (summed) except at ``keep``.
+    letters = string.ascii_lowercase
+    rows = list(letters[:n])
+    cols = [letters[n + i] if i == keep else rows[i] for i in range(n)]
+    sub = "".join(rows) + "".join(cols) + "->" + rows[keep] + cols[keep]
+    return np.einsum(sub, rho.reshape(tuple(dims) * 2))
 
 
 def reduced_populations(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,9 +1,11 @@
 """Steady-state and time-domain solvers for the master equation.
 
-Two independent routes to the stationary state: an algebraic null-space
-solve of the dense superoperator (SVD, smallest singular vector) and a
-classical fixed-step RK4 integration of the equation of motion. They are
-cross-checked against each other in the test suite.
+Both solvers consume the one dense generator matrix from
+``build_superoperator`` and differ only in algorithm: an algebraic
+null-space solve (SVD, smallest singular vector) and a classical fixed-step
+RK4 integration of d vec(rho)/dt = L vec(rho). The test suite cross-checks
+the two algorithms against each other, and checks the matrix itself against
+the operator form ``rhs_apply``.
 """
 
 from __future__ import annotations
@@ -13,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lindblad import Liouvillian, rhs_evaluator, vec, unvec
-from .model import BathChannel
+from .lindblad import Liouvillian, vec, unvec
 from .observables import HeatCurrents, bath_currents
 
 HERM_TOL = 1e-12
@@ -129,38 +130,41 @@ def _check_state(rho: np.ndarray) -> str | None:
 
 def evolve(
     rho0: DensityMatrix,
-    h: np.ndarray,
-    channels: list[BathChannel],
+    liouvillian: Liouvillian,
     t_final: float,
     dt_max: float = 0.01,
 ) -> DensityMatrix:
     """Classical fixed-step RK4 integration of the master equation.
 
-    Integrates from ``rho0`` to ``t_final`` with a uniform step no larger
-    than ``dt_max``. State validity is monitored during the run; a breach
-    raises IntegrationError (typically an unstable step size).
+    Integrates d vec(rho)/dt = L vec(rho) from ``rho0`` to ``t_final`` with a
+    uniform step no larger than ``dt_max``. State validity is monitored
+    during the run; a breach raises IntegrationError (typically an unstable
+    step size).
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
     if dt_max <= 0:
         raise ValueError("dt_max must be positive")
+    if rho0.dim != liouvillian.dim:
+        raise ValueError(f"state dimension {rho0.dim} does not match generator dimension {liouvillian.dim}")
     steps = max(1, math.ceil(t_final / dt_max))
     dt = t_final / steps
-    rhs = rhs_evaluator(h, channels)
-    rho = rho0.mat.astype(complex, copy=True)
+    mat = liouvillian.matrix
+    v = vec(rho0.mat).astype(complex)
     check_every = max(1, steps // 200)
     for i in range(steps):
-        k1 = rhs(rho)
-        k2 = rhs(rho + (0.5 * dt) * k1)
-        k3 = rhs(rho + (0.5 * dt) * k2)
-        k4 = rhs(rho + dt * k3)
-        rho += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = mat @ v
+        k2 = mat @ (v + (0.5 * dt) * k1)
+        k3 = mat @ (v + (0.5 * dt) * k2)
+        k4 = mat @ (v + dt * k3)
+        v += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if (i + 1) % check_every == 0 or i + 1 == steps:
-            problem = _check_state(rho)
+            problem = _check_state(unvec(v))
             if problem is not None:
                 raise IntegrationError(
                     f"integration failed at t={(i + 1) * dt:.4g}: {problem}; try a smaller dt_max"
                 )
+    rho = unvec(v)
     drift = abs(np.trace(rho) - 1.0)
     if drift > TRACE_DRIFT_TOL:
         raise IntegrationError(f"trace drifted by {drift:.3e} over the run; try a smaller dt_max")

@@ -63,6 +63,19 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+@pytest.fixture(scope="session", autouse=True)
+def lapack_warmup() -> None:
+    """Pay the threaded LAPACK start-up once, before any test times a solve.
+
+    With a multi-threaded OpenBLAS on a 2-vCPU host, the first SVD or eig of
+    a generator-sized (144x144) matrix in a process can take about 1 s while
+    every later one takes about 0.01 s; with one BLAS thread the first takes
+    0.01 s as well. That one-off cost belongs to the library, not to the
+    solver, so it is paid here rather than inside a timed test.
+    """
+    np.linalg.svd(np.eye(144, dtype=complex) + 1e-3j)
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)

@@ -83,10 +83,9 @@ def test_02_energy_conservation_on_all_grids(figure_grids):
 
 def test_03_solver_cross_validation():
     p = TRANSFER_PARAMS
-    h = total_hamiltonian(p)
-    chans = bath_channels(p)
-    reference = steady_state(build_superoperator(h, chans), tol=1e-10).state
-    evolved = evolve(DensityMatrix.maximally_mixed(12), h, chans, t_final=1e4, dt_max=0.05)
+    liou = build_superoperator(total_hamiltonian(p), bath_channels(p))
+    reference = steady_state(liou, tol=1e-10).state
+    evolved = evolve(DensityMatrix.maximally_mixed(12), liou, t_final=1e4, dt_max=0.05)
     dist = trace_distance(evolved, reference)
     assert verdict(3, "null-space vs time-evolution steady state",
                    dist <= 1e-6, f"trace distance {dist:.2e} at t=1e4")

@@ -104,13 +104,6 @@ class TestSweep:
         assert cli_main(["sweep", "--config", str(small_sweep_cfg), "--out", str(b), "--threads", "4"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_seed_flag_accepted(self, small_sweep_cfg, tmp_path):
-        out = tmp_path / "seeded.csv"
-        code = cli_main([
-            "sweep", "--config", str(small_sweep_cfg), "--out", str(out), "--seed", "7",
-        ])
-        assert code == 0 and out.exists()
-
 
 class TestEvolve:
     def test_writes_current_trace(self, point_cfg, tmp_path):
@@ -132,6 +125,15 @@ class TestEvolve:
             "--t-final", "-5",
         ])
         assert code == 1
+
+    def test_unstable_step_exits_with_reason(self, tmp_path, capsys):
+        code = cli_main([
+            "evolve", "--config", str(SCRIPTS / "transfer_curve.cfg"), "--out", str(tmp_path / "x.csv"),
+            "--t-final", "400", "--samples", "4", "--dt-max", "20",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "integration failed" in err and "dt_max" in err
 
 
 class TestCheck:

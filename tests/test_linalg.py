@@ -1,149 +1,23 @@
+"""Partial trace over the qubit-qutrit-qubit factors (`triheat.observables`)."""
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
-from triheat import anticommutator, commutator, dagger, kron, partial_trace, trace
-from conftest import random_density, random_hermitian
-
-finite_complex = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
-
-
-def square(dim):
-    return arrays(np.complex128, (dim, dim), elements=finite_complex)
-
-
-def kron_loop_oracle(a, b):
-    """Independent four-index scalar-loop Kronecker product."""
-    n, m = a.shape[0], b.shape[0]
-    out = np.zeros((n * m, n * m), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            for k in range(m):
-                for l in range(m):
-                    out[i * m + k, j * m + l] = a[i, j] * b[k, l]
-    return out
-
-
-class TestKron:
-    def test_identity_case(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(3)), np.eye(6))
-
-    def test_qubit_lowering_lifted(self):
-        sm = np.array([[0, 1], [0, 0]], dtype=complex)
-        lifted = kron(sm, np.eye(2))
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[0, 2] = expected[1, 3] = 1.0
-        assert np.array_equal(lifted, expected)
-
-    def test_matches_scalar_loop_oracle(self, rng):
-        for _ in range(5):
-            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            assert np.max(np.abs(kron(a, b) - kron_loop_oracle(a, b))) < 1e-14
-
-    @settings(max_examples=25, deadline=None)
-    @given(a=square(2), b=square(2), c=square(3))
-    def test_associativity(self, a, b, c):
-        left = kron(kron(a, b), c)
-        right = kron(a, kron(b, c))
-        assert np.max(np.abs(left - right)) <= 1e-14 * max(1.0, np.max(np.abs(left)))
-
-
-class TestDagger:
-    def test_identity(self):
-        assert np.array_equal(dagger(np.eye(2, dtype=complex)), np.eye(2))
-
-    def test_lowering_to_raising(self):
-        sm = np.array([[0, 1], [0, 0]], dtype=complex)
-        assert np.array_equal(dagger(sm), np.array([[0, 0], [1, 0]], dtype=complex))
-
-    def test_elementwise_oracle(self, rng):
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        d = dagger(a)
-        for i in range(3):
-            for j in range(3):
-                assert d[i, j] == a[j, i].conjugate()
-
-    def test_involution(self, rng):
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        assert np.array_equal(dagger(dagger(a)), a)
-
-    @settings(max_examples=25, deadline=None)
-    @given(a=square(3), b=square(3))
-    def test_antihomomorphism(self, a, b):
-        lhs = dagger(a @ b)
-        rhs = dagger(b) @ dagger(a)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-14 * max(1.0, np.max(np.abs(lhs)))
-
-
-class TestCommutators:
-    def test_self_commutator_vanishes(self, rng):
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert np.max(np.abs(commutator(a, a))) == 0.0
-
-    def test_identity_commutes(self, rng):
-        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert np.max(np.abs(commutator(np.eye(3, dtype=complex), b))) < 1e-15
-
-    def test_hermitian_pair_gives_antihermitian(self, rng):
-        for _ in range(5):
-            c = commutator(random_hermitian(rng, 4), random_hermitian(rng, 4))
-            assert np.max(np.abs(dagger(c) + c)) < 1e-12
-
-    def test_anticommutator_identity(self, rng):
-        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert np.max(np.abs(anticommutator(np.eye(3, dtype=complex), b) - 2 * b)) < 1e-15
-
-    def test_anticommutator_self(self, rng):
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert np.max(np.abs(anticommutator(a, a) - 2 * (a @ a))) < 1e-13
-
-    def test_hermitian_pair_gives_hermitian(self, rng):
-        s = anticommutator(random_hermitian(rng, 4), random_hermitian(rng, 4))
-        assert np.max(np.abs(dagger(s) - s)) < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            commutator(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
-        with pytest.raises(ValueError):
-            anticommutator(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
-
-
-class TestTrace:
-    def test_identity(self):
-        assert trace(np.eye(12, dtype=complex)) == 12
-
-    def test_offdiagonal_operator(self):
-        sm = np.array([[0, 1], [0, 0]], dtype=complex)
-        assert trace(sm) == 0
-
-    def test_cyclic(self, rng):
-        for _ in range(5):
-            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            assert abs(trace(a @ b) - trace(b @ a)) < 1e-12
-
-    @settings(max_examples=25, deadline=None)
-    @given(a=square(3), b=square(3), x=finite_complex)
-    def test_linearity(self, a, b, x):
-        lhs = trace(x * a + b)
-        rhs = x * trace(a) + trace(b)
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+from triheat import partial_trace
+from conftest import random_density
 
 
 class TestPartialTrace:
     def test_product_state_factorization(self, rng):
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        reduced = partial_trace(kron(a, b), [2, 3], keep=0)
-        assert np.max(np.abs(reduced - a * trace(b))) < 1e-13
+        reduced = partial_trace(np.kron(a, b), [2, 3], keep=0)
+        assert np.max(np.abs(reduced - a * np.trace(b))) < 1e-13
 
     def test_trace_preserved(self, rng):
         rho = random_density(rng, 12)
         for k in range(3):
-            assert abs(trace(partial_trace(rho, [2, 3, 2], k)) - trace(rho)) < 1e-12
+            assert abs(np.trace(partial_trace(rho, [2, 3, 2], k)) - np.trace(rho)) < 1e-12
 
     def test_maximally_mixed_reduction(self):
         reduced = partial_trace(np.eye(12, dtype=complex) / 12, [2, 3, 2], keep=1)
@@ -151,7 +25,7 @@ class TestPartialTrace:
 
     def test_recovers_factors_of_triple_product(self, rng):
         factors = [random_density(rng, d) for d in (2, 3, 2)]
-        rho = kron(kron(factors[0], factors[1]), factors[2])
+        rho = np.kron(np.kron(factors[0], factors[1]), factors[2])
         for k in range(3):
             assert np.max(np.abs(partial_trace(rho, [2, 3, 2], k) - factors[k])) < 1e-12
 

@@ -11,7 +11,6 @@ from triheat import (
     gibbs_state,
     occupation,
     rhs_apply,
-    rhs_evaluator,
     total_hamiltonian,
     unvec,
     vec,
@@ -120,22 +119,6 @@ class TestRhs:
         for _ in range(5):
             rho = random_hermitian(rng, 12)
             assert abs(np.trace(rhs_apply(h, chans, rho))) < 1e-12
-
-    def test_evaluator_matches_direct_form(self, rng):
-        p = TRANSFER_PARAMS
-        h = total_hamiltonian(p)
-        chans = bath_channels(p)
-        fast = rhs_evaluator(h, chans)
-        for _ in range(10):
-            rho = random_hermitian(rng, 12)
-            diff = fast(rho) - rhs_apply(h, chans, rho)
-            assert np.max(np.abs(diff)) <= 1e-13
-
-    def test_evaluator_without_channels(self, rng):
-        h = random_hermitian(rng, 4)
-        rho = random_hermitian(rng, 4)
-        diff = rhs_evaluator(h, [])(rho) - rhs_apply(h, [], rho)
-        assert np.max(np.abs(diff)) <= 1e-14
 
 
 class TestVectorization:

@@ -94,23 +94,28 @@ class TestSteadyState:
             assert np.linalg.eigvalsh(state.mat).min() >= -1e-10
 
 
-def single_qubit_setup(kappa=1.0, delta_e=1.0, temperature=0.5):
+def single_qubit_liouvillian(kappa=1.0, delta_e=1.0, temperature=0.5):
     h = np.diag([0.0, delta_e]).astype(complex)
     ch = BathChannel("X", QUBIT_LOWER, delta_e, kappa, temperature)
-    return h, [ch]
+    return build_superoperator(h, [ch])
+
+
+def transfer_liouvillian():
+    p = TRANSFER_PARAMS
+    return build_superoperator(total_hamiltonian(p), bath_channels(p))
 
 
 class TestEvolve:
     def test_stationary_under_commuting_dynamics(self):
         h = np.diag([0.0, 1.0]).astype(complex)
         rho0 = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
-        out = evolve(rho0, h, [], t_final=5.0, dt_max=0.05)
+        out = evolve(rho0, build_superoperator(h, []), t_final=5.0, dt_max=0.05)
         assert np.max(np.abs(out.mat - rho0.mat)) < 1e-14
 
     def test_relaxation_matches_rate_equation(self):
         # two-level closed form: p1(t) = p_inf + (p1(0) - p_inf) exp(-k(2n+1)t)
         kappa, de, temp = 1.0, 1.0, 0.5
-        h, chans = single_qubit_setup(kappa, de, temp)
+        liou = single_qubit_liouvillian(kappa, de, temp)
         n = occupation(de, temp)
         p_inf = n / (2 * n + 1)
         p1 = 0.9
@@ -118,7 +123,7 @@ class TestEvolve:
         rate = kappa * (2 * n + 1)
         previous = p1
         for t_seg in (0.5, 0.5, 1.0, 2.0):
-            state = evolve(state, h, chans, t_final=t_seg, dt_max=0.01)
+            state = evolve(state, liou, t_final=t_seg, dt_max=0.01)
             current = state.mat[1, 1].real
             assert current < previous  # monotone approach from above
             previous = current
@@ -128,47 +133,46 @@ class TestEvolve:
 
     def test_final_gibbs_ratio(self):
         kappa, de, temp = 1.0, 1.0, 0.5
-        h, chans = single_qubit_setup(kappa, de, temp)
+        liou = single_qubit_liouvillian(kappa, de, temp)
         state = DensityMatrix(np.diag([0.1, 0.9]).astype(complex))
-        state = evolve(state, h, chans, t_final=1e3 / kappa, dt_max=0.01)
+        state = evolve(state, liou, t_final=1e3 / kappa, dt_max=0.01)
         ratio = state.mat[1, 1].real / state.mat[0, 0].real
         assert ratio == pytest.approx(math.exp(-de / temp), abs=1e-6)
 
     def test_step_halving_is_fourth_order(self):
-        h, chans = single_qubit_setup(kappa=0.8, temperature=1.2)
+        liou = single_qubit_liouvillian(kappa=0.8, temperature=1.2)
         rho0 = np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]], dtype=complex)
         start = DensityMatrix(rho0)
-        finals = [evolve(start, h, chans, t_final=2.0, dt_max=dt).mat for dt in (0.2, 0.1, 0.05)]
+        finals = [evolve(start, liou, t_final=2.0, dt_max=dt).mat for dt in (0.2, 0.1, 0.05)]
         e1 = np.max(np.abs(finals[0] - finals[1]))
         e2 = np.max(np.abs(finals[1] - finals[2]))
         assert 10.0 < e1 / e2 < 24.0
 
     def test_unstable_step_raises(self):
-        p = TRANSFER_PARAMS
-        h = total_hamiltonian(p)
-        chans = bath_channels(p)
         # coherences between far-separated levels are the unstable modes at
         # large steps, so start from a state that populates them
         psi = np.ones(12) / math.sqrt(12)
         rho0 = DensityMatrix(0.5 * np.outer(psi, psi).astype(complex) + 0.5 * np.eye(12) / 12)
         with pytest.raises(IntegrationError, match="dt_max"):
-            evolve(rho0, h, chans, t_final=400.0, dt_max=1.0)
+            evolve(rho0, transfer_liouvillian(), t_final=400.0, dt_max=1.0)
 
     def test_argument_validation(self):
-        h, chans = single_qubit_setup()
+        liou = single_qubit_liouvillian()
         mm = DensityMatrix.maximally_mixed(2)
         with pytest.raises(ValueError):
-            evolve(mm, h, chans, t_final=-1.0)
+            evolve(mm, liou, t_final=-1.0)
         with pytest.raises(ValueError):
-            evolve(mm, h, chans, t_final=1.0, dt_max=0.0)
+            evolve(mm, liou, t_final=1.0, dt_max=0.0)
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="dimension 2 does not match generator dimension 12"):
+            evolve(DensityMatrix.maximally_mixed(2), transfer_liouvillian(), t_final=1.0)
 
     def test_positivity_preserved_from_random_states(self, rng):
-        p = TRANSFER_PARAMS
-        h = total_hamiltonian(p)
-        chans = bath_channels(p)
+        liou = transfer_liouvillian()
         for _ in range(3):
             rho0 = DensityMatrix(random_density(rng, 12))
-            out = evolve(rho0, h, chans, t_final=20.0, dt_max=0.01)
+            out = evolve(rho0, liou, t_final=20.0, dt_max=0.01)
             assert np.linalg.eigvalsh(out.mat).min() >= -1e-10
 
 
@@ -193,14 +197,12 @@ class TestSolverAgreement:
                 t_m=rng.uniform(0.3, 2.5),
                 t_r=rng.uniform(0.3, 2.5),
             )
-            h = total_hamiltonian(p)
-            chans = bath_channels(p)
-            liou = build_superoperator(h, chans)
+            liou = build_superoperator(total_hamiltonian(p), bath_channels(p))
             reference = steady_state(liou).state
             ev = np.linalg.eigvals(liou.matrix)
             gap = -np.max(ev.real[np.abs(ev) > 1e-8])
             radius = np.max(np.abs(ev))
             t_final = min(max(18.0 / gap, 50.0), 5e4)
             dt = min(0.05, 1.5 / radius)
-            evolved = evolve(DensityMatrix.maximally_mixed(12), h, chans, t_final, dt_max=dt)
+            evolved = evolve(DensityMatrix.maximally_mixed(12), liou, t_final, dt_max=dt)
             assert trace_distance(evolved, reference) <= 1e-6

@@ -15,6 +15,7 @@ from triheat.sweep import (
     solve_point,
 )
 from triheat.svgplot import emit_plot, plot_style
+from triheat.cli import cli_main
 from triheat.config import compile_derived
 from conftest import TRANSFER_PARAMS
 
@@ -48,6 +49,14 @@ derived =
     dT_MR = t_m - t_r
     dT_RL = t_r - t_l
 out = sweep.csv
+"""
+
+# a four-point t_r axis whose first point equals the base t_m = 0.1
+DERIVED_ONLY_CFG = BASE_CFG + """
+[sweep]
+axis1 = temperatures.t_r : 0.1 : 0.6 : 4
+derived =
+    {}
 """
 
 
@@ -132,6 +141,26 @@ class TestConfig:
     def test_derived_arithmetic(self):
         col = compile_derived("x", "2 * t_m - (t_r + 1.0)")
         assert col.fn({"t_l": 0.0, "t_m": 1.5, "t_r": 0.25}) == pytest.approx(1.75)
+
+    def test_derived_division_by_temperature_accepted(self, tmp_path):
+        # checked without evaluating, so no zero probe temperature trips it
+        path = tmp_path / "ratio.cfg"
+        path.write_text(DERIVED_ONLY_CFG.format("ratio = t_m / t_r"), encoding="utf-8")
+        col = load_sweep(path).derived[0]
+        assert col.fn({"t_l": 2.0, "t_m": 0.3, "t_r": 0.6}) == pytest.approx(0.5)
+        out = tmp_path / "ratio.csv"
+        assert cli_main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8").split("\n")[0].split(",")[-2] == "ratio"
+
+    def test_derived_zero_divisor_at_output_reported(self, tmp_path, capsys):
+        path = tmp_path / "pole.cfg"
+        path.write_text(DERIVED_ONLY_CFG.format("pole = 1 / (t_m - t_r)"), encoding="utf-8")
+        spec = load_sweep(path)
+        with pytest.raises(ConfigError, match=r"'pole'.*t_l = 2\.0, t_m = 0\.1, t_r = 0\.1"):
+            run_sweep(spec)
+        code = cli_main(["sweep", "--config", str(path), "--out", str(tmp_path / "pole.csv")])
+        assert code == 1
+        assert "derived column 'pole'" in capsys.readouterr().err
 
 
 class TestGrid:
