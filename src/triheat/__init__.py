@@ -5,6 +5,8 @@ from .lindblad import (
     Liouvillian,
     build_superoperator,
     dissipator_apply,
+    dissipator_superoperator,
+    hamiltonian_superoperator,
     occupation,
     rhs_apply,
     unvec,
@@ -18,6 +20,7 @@ from .model import (
     bath_channels,
     free_hamiltonian,
     gibbs_state,
+    hamiltonian_terms,
     interaction_lm,
     interaction_mr,
     local_hamiltonians,
@@ -28,10 +31,12 @@ from .observables import HeatCurrents, bath_currents, heat_current, partial_trac
 from .solvers import (
     DensityMatrix,
     IntegrationError,
+    PointSolve,
     SteadyStateError,
     SteadyStateResult,
     evolve,
     steady_state,
+    steady_states,
     trace_distance,
 )
 from .sweep import SweepRow, emit_csv, grid_points, run_sweep

@@ -2,7 +2,8 @@
 
 Subcommands:
   steady   one steady-state solve; prints currents, residual, populations
-  sweep    run the sweep defined in the config; write CSV and optional SVG
+  sweep    run the sweep defined in the config; write CSV and optional SVG;
+           failed points are counted by the check that failed
   evolve   time-trace of the bath currents from the maximally mixed state
   check    built-in invariant suite at the configured operating point
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -27,9 +29,10 @@ from .solvers import (
     SteadyStateError,
     evolve,
     steady_state,
+    steady_states,
     trace_distance,
 )
-from .sweep import emit_csv, run_sweep
+from .sweep import STATUS_OK, emit_csv, run_sweep
 from .svgplot import emit_plot
 
 # Default operating point for `check` when no config is given: the resonant
@@ -56,7 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", help="output CSV path (overrides the config)")
     p_sweep.add_argument("--plot", help="output SVG path (overrides the config)")
     p_sweep.add_argument("--tol", type=float, default=1e-10, help="steady-state residual tolerance")
-    p_sweep.add_argument("--threads", type=int, default=1, help="worker threads for grid points")
+    p_sweep.add_argument("--threads", type=int, default=1,
+                         help="worker threads, each solving fixed chunks of grid points")
 
     p_evolve = sub.add_parser("evolve", help="integrate in time and record the bath currents")
     p_evolve.add_argument("--config", required=True, help="INI config file")
@@ -73,9 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_steady(args: argparse.Namespace) -> int:
     params = load_params(args.config)
-    h = total_hamiltonian(params)
-    channels = bath_channels(params)
-    result = steady_state(build_superoperator(h, channels), tol=args.tol)
+    result = steady_states([params], tol=args.tol)[0].result()
     cur = result.currents
     print(f"J_L = {cur.j_l:+.12e}")
     print(f"J_M = {cur.j_m:+.12e}")
@@ -94,8 +96,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("no output path: pass --out or set 'out' in [sweep]")
     rows = run_sweep(spec, tol=args.tol, threads=args.threads)
     emit_csv(rows, spec, out)
-    failed = sum(1 for r in rows if r.status != "ok")
-    print(f"wrote {len(rows)} rows to {out}" + (f" ({failed} failed points)" if failed else ""))
+    failed = Counter(r.reason for r in rows if r.status != STATUS_OK)
+    by_reason = ", ".join(f"{reason} {count}" for reason, count in failed.most_common())
+    print(f"wrote {len(rows)} rows to {out}" + (f" ({failed.total()} failed points: {by_reason})" if failed else ""))
     if plot is not None:
         emit_plot(rows, spec, plot)
         print(f"wrote plot to {plot}")

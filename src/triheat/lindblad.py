@@ -85,16 +85,24 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return v.reshape((dim, dim), order="F")
 
 
+def hamiltonian_superoperator(h: np.ndarray) -> np.ndarray:
+    """Matrix of rho -> -i[H, rho] over column-stacked states."""
+    eye = np.eye(h.shape[0], dtype=complex)
+    return -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+
+
+def dissipator_superoperator(a: np.ndarray) -> np.ndarray:
+    """Matrix of L[A] over column-stacked states."""
+    eye = np.eye(a.shape[0], dtype=complex)
+    ada = a.conj().T @ a
+    return np.kron(a.conj(), a) - 0.5 * np.kron(eye, ada) - 0.5 * np.kron(ada.T, eye)
+
+
 def build_superoperator(h: np.ndarray, channels: Sequence[BathChannel]) -> Liouvillian:
     """Assemble the dense matrix generator over column-stacked states."""
-    dim = h.shape[0]
-    eye = np.eye(dim, dtype=complex)
-    mat = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    mat = hamiltonian_superoperator(h)
     for ch in channels:
         n = occupation(ch.delta_e, ch.temperature)
-        for a, weight in ((ch.jump, ch.kappa * (n + 1.0)), (ch.jump.conj().T, ch.kappa * n)):
-            ada = a.conj().T @ a
-            mat += weight * (
-                np.kron(a.conj(), a) - 0.5 * np.kron(eye, ada) - 0.5 * np.kron(ada.T, eye)
-            )
+        mat += ch.kappa * (n + 1.0) * dissipator_superoperator(ch.jump)
+        mat += ch.kappa * n * dissipator_superoperator(ch.jump.conj().T)
     return Liouvillian(matrix=mat, hamiltonian=h, channels=list(channels))

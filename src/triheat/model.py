@@ -17,6 +17,9 @@ import numpy as np
 
 DIMS = (2, 3, 2)
 DIM = 12
+# The parameters the Hamiltonian is linear in, in ``hamiltonian_terms`` order.
+HAMILTONIAN_FIELDS = ("e1", "e2", "e3", "e4", "g_lm", "g_mr")
+CHANNEL_LABELS = ("L", "M1", "M2", "R")
 
 
 @dataclass(frozen=True)
@@ -103,32 +106,35 @@ def local_hamiltonians(p: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndar
     return h_left, h_mid, h_right
 
 
+def _lift(left: np.ndarray, mid: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Tensor product of one operator per factor, in basis order."""
+    return np.kron(np.kron(left, mid), right)
+
+
+def _exchange(left: np.ndarray, mid: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Hermitian exchange term T + T^dag with T the lifted product."""
+    term = _lift(left, mid, right)
+    return term + term.conj().T
+
+
 def free_hamiltonian(p: SystemParams) -> np.ndarray:
     """Sum of the lifted subsystem Hamiltonians; diagonal on the 12-dim space."""
     h_left, h_mid, h_right = local_hamiltonians(p)
     i2 = np.eye(2, dtype=complex)
     i3 = np.eye(3, dtype=complex)
-    return (
-        np.kron(np.kron(h_left, i3), i2)
-        + np.kron(np.kron(i2, h_mid), i2)
-        + np.kron(np.kron(i2, i3), h_right)
-    )
+    return _lift(h_left, i3, i2) + _lift(i2, h_mid, i2) + _lift(i2, i3, h_right)
 
 
 def interaction_lm(p: SystemParams) -> np.ndarray:
     """Excitation exchange between the left qubit and the qutrit 0<->1 transition."""
     ops = transition_ops()
-    i2 = np.eye(2, dtype=complex)
-    term = np.kron(np.kron(ops.qubit_raise, ops.qutrit_lower_01), i2)
-    return p.g_lm * (term + term.conj().T)
+    return p.g_lm * _exchange(ops.qubit_raise, ops.qutrit_lower_01, np.eye(2, dtype=complex))
 
 
 def interaction_mr(p: SystemParams) -> np.ndarray:
     """Excitation exchange between the qutrit 0<->1 transition and the right qubit."""
     ops = transition_ops()
-    i2 = np.eye(2, dtype=complex)
-    term = np.kron(np.kron(i2, ops.qutrit_lower_01), ops.qubit_raise)
-    return p.g_mr * (term + term.conj().T)
+    return p.g_mr * _exchange(np.eye(2, dtype=complex), ops.qutrit_lower_01, ops.qubit_raise)
 
 
 def total_hamiltonian(p: SystemParams) -> np.ndarray:
@@ -136,20 +142,58 @@ def total_hamiltonian(p: SystemParams) -> np.ndarray:
     return free_hamiltonian(p) + interaction_lm(p) + interaction_mr(p)
 
 
-def bath_channels(p: SystemParams) -> list[BathChannel]:
-    """The four dissipation channels: left qubit, both qutrit transitions, right qubit.
+def hamiltonian_terms() -> tuple[np.ndarray, ...]:
+    """The fixed operators H_c with total_hamiltonian(p) = sum_c p.<HAMILTONIAN_FIELDS[c]> * H_c.
 
-    The middle bath drives the two qutrit transitions separately (energies e2
-    and e3 - e2) sharing one rate and one temperature.
+    One per field: the projectors onto the excited levels carrying e1, e2, e3
+    and e4, then the two unit-strength exchange terms.
     """
     ops = transition_ops()
     i2 = np.eye(2, dtype=complex)
     i3 = np.eye(3, dtype=complex)
+    up = np.diag([0.0, 1.0]).astype(complex)
+    return (
+        _lift(up, i3, i2),
+        _lift(i2, np.diag([0.0, 1.0, 0.0]).astype(complex), i2),
+        _lift(i2, np.diag([0.0, 0.0, 1.0]).astype(complex), i2),
+        _lift(i2, i3, up),
+        _exchange(ops.qubit_raise, ops.qutrit_lower_01, i2),
+        _exchange(i2, ops.qutrit_lower_01, ops.qubit_raise),
+    )
+
+
+def jump_operators() -> tuple[np.ndarray, ...]:
+    """Lifted lowering operators of the channels, in ``CHANNEL_LABELS`` order."""
+    ops = transition_ops()
+    i2 = np.eye(2, dtype=complex)
+    i3 = np.eye(3, dtype=complex)
+    return (
+        _lift(ops.qubit_lower, i3, i2),
+        _lift(i2, ops.qutrit_lower_01, i2),
+        _lift(i2, ops.qutrit_lower_12, i2),
+        _lift(i2, i3, ops.qubit_lower),
+    )
+
+
+def channel_constants(p: SystemParams) -> tuple[tuple[float, float, float], ...]:
+    """(transition energy, rate, temperature) of each channel, in ``CHANNEL_LABELS`` order.
+
+    The middle bath drives the two qutrit transitions separately (energies e2
+    and e3 - e2) sharing one rate and one temperature.
+    """
+    return (
+        (p.e1, p.kappa_l, p.t_l),
+        (p.e2, p.kappa_m, p.t_m),
+        (p.e3 - p.e2, p.kappa_m, p.t_m),
+        (p.e4, p.kappa_r, p.t_r),
+    )
+
+
+def bath_channels(p: SystemParams) -> list[BathChannel]:
+    """The four dissipation channels: left qubit, both qutrit transitions, right qubit."""
     return [
-        BathChannel("L", np.kron(np.kron(ops.qubit_lower, i3), i2), p.e1, p.kappa_l, p.t_l),
-        BathChannel("M1", np.kron(np.kron(i2, ops.qutrit_lower_01), i2), p.e2, p.kappa_m, p.t_m),
-        BathChannel("M2", np.kron(np.kron(i2, ops.qutrit_lower_12), i2), p.e3 - p.e2, p.kappa_m, p.t_m),
-        BathChannel("R", np.kron(np.kron(i2, i3), ops.qubit_lower), p.e4, p.kappa_r, p.t_r),
+        BathChannel(label, jump, *constants)
+        for label, jump, constants in zip(CHANNEL_LABELS, jump_operators(), channel_constants(p))
     ]
 
 

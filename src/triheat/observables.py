@@ -17,7 +17,7 @@ import numpy as np
 from .lindblad import dissipator_apply
 from .model import DIMS, BathChannel
 
-_IMAG_TOL = 1e-11
+IMAG_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,9 @@ def heat_current(h: np.ndarray, channel_group: Sequence[BathChannel], rho: np.nd
     for ch in channel_group:
         d = d + dissipator_apply(ch, rho)
     val = -np.trace(h @ d)
-    if abs(val.imag) > _IMAG_TOL:
+    if abs(val.imag) > IMAG_TOL:
         raise RuntimeError(
-            f"heat_current: imaginary residue {val.imag:.3e} exceeds {_IMAG_TOL:.1e}; "
+            f"heat_current: imaginary residue {val.imag:.3e} exceeds {IMAG_TOL:.1e}; "
             "inputs are numerically inconsistent"
         )
     return float(val.real)

@@ -1,32 +1,69 @@
 """Steady-state and time-domain solvers for the master equation.
 
-Both solvers consume the one dense generator matrix from
+``steady_state`` and ``evolve`` consume the one dense generator matrix from
 ``build_superoperator`` and differ only in algorithm: an algebraic
 null-space solve (SVD, smallest singular vector) and a classical fixed-step
 RK4 integration of d vec(rho)/dt = L vec(rho). The test suite cross-checks
 the two algorithms against each other, and checks the matrix itself against
 the operator form ``rhs_apply``.
+
+``steady_states`` is the batched engine the sweeps and ``triheat steady``
+run on, with ``steady_state`` as its oracle. It uses two facts about the
+chain. H conserves the excitation number N = i + j + k of basis state
+(i*3 + j)*2 + k and every jump changes N by one, so the generator is
+block-diagonal in the coherence order N(a) - N(b) of the entry rho[a, b]
+(a weak U(1) symmetry). The blocks of orders 0..4 have 36, 30, 17, 6 and 1
+rows, the order -q block has the singular values of the +q block, and the
+steady state lives in the order-0 block. The generator is also affine in
+the parameters: L(p) = sum_c coef_c(p) * S_c over 14 fixed terms, the six
+Hamiltonian terms and kappa*(n+1), kappa*n for each of the four channels.
+So a chunk of points is assembled with one matrix product and its null
+vectors come from one batched solve, and every check ``steady_state``
+makes is kept per point with the same bound.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .lindblad import Liouvillian, vec, unvec
-from .observables import HeatCurrents, bath_currents
+from .lindblad import (
+    Liouvillian,
+    dissipator_superoperator,
+    hamiltonian_superoperator,
+    occupation,
+    unvec,
+    vec,
+)
+from .model import DIM, DIMS, HAMILTONIAN_FIELDS, SystemParams, channel_constants, hamiltonian_terms, jump_operators
+from .observables import IMAG_TOL, HeatCurrents, bath_currents
 
 HERM_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIG_FLOOR = -1e-10
 DEGENERACY_TOL = 1e-10
 TRACE_DRIFT_TOL = 1e-9
+NULL_TRACE_FLOOR = 1e-8  # |trace| of the unit-norm null vector below this: no state
+BALANCE_TOL = 1e-10  # |J_L + J_M + J_R| <= BALANCE_TOL * max(1, max|J|)
+# Points per batched solve. Chunks of 8 to 128 ran at the same speed, and
+# larger ones only hold more memory.
+CHUNK = 16
 
 
 class SteadyStateError(RuntimeError):
-    """Steady-state solve failed (residual, degeneracy, or invalid state)."""
+    """Steady-state solve failed; ``reason`` names the check that failed.
+
+    Reasons: non_unique, zero_trace, residual, invalid_state, unbalanced,
+    and from the batched engine also non_finite, singular, imaginary_current.
+    """
+
+    def __init__(self, message: str, reason: str) -> None:
+        super().__init__(message)
+        self.reason = reason
 
 
 class IntegrationError(RuntimeError):
@@ -43,15 +80,9 @@ class DensityMatrix:
         m = self.mat
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        herm = np.max(np.abs(m - m.conj().T))
-        if herm > HERM_TOL:
-            raise ValueError(f"density matrix not Hermitian: defect {herm:.3e}")
-        tr_err = abs(np.trace(m) - 1.0)
-        if tr_err > TRACE_TOL:
-            raise ValueError(f"density matrix trace deviates from 1 by {tr_err:.3e}")
-        min_eig = float(np.linalg.eigvalsh(m).min())
-        if min_eig < EIG_FLOOR:
-            raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
+        problem = _state_violation(*_state_defects(m))
+        if problem is not None:
+            raise ValueError(problem)
 
     @property
     def dim(self) -> int:
@@ -60,6 +91,24 @@ class DensityMatrix:
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
         return cls(np.eye(dim, dtype=complex) / dim)
+
+
+def _state_defects(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hermiticity defect, trace error and smallest eigenvalue of a matrix or a stack of them."""
+    herm = np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()), axis=(-2, -1))
+    tr_err = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
+    return herm, tr_err, np.linalg.eigvalsh(m).min(axis=-1)
+
+
+def _state_violation(herm: float, tr_err: float, min_eig: float) -> str | None:
+    """The first density-matrix invariant the defects break, or None."""
+    if not herm <= HERM_TOL:
+        return f"density matrix not Hermitian: defect {herm:.3e}"
+    if not tr_err <= TRACE_TOL:
+        return f"density matrix trace deviates from 1 by {tr_err:.3e}"
+    if not min_eig >= EIG_FLOOR:
+        return f"density matrix has negative eigenvalue {min_eig:.3e}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -89,27 +138,233 @@ def steady_state(liouvillian: Liouvillian, tol: float = 1e-10) -> SteadyStateRes
         raise ValueError("tol must be positive")
     _, s, vh = np.linalg.svd(liouvillian.matrix)
     if s[-2] < DEGENERACY_TOL:
-        raise SteadyStateError(
-            f"non-unique steady state: second singular value {s[-2]:.3e} below {DEGENERACY_TOL:.1e}"
-        )
+        raise SteadyStateError(_NON_UNIQUE.format(s[-2]), "non_unique")
     rho = unvec(vh[-1].conj())
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho).real
-    if abs(tr) < 1e-8:
-        raise SteadyStateError("no steady state at tolerance: null vector has near-zero trace")
+    if abs(tr) < NULL_TRACE_FLOOR:
+        raise SteadyStateError(_ZERO_TRACE, "zero_trace")
     rho = rho / tr
     residual = float(np.linalg.norm(liouvillian.matrix @ vec(rho)))
     if residual > tol:
-        raise SteadyStateError(f"no steady state at tolerance: residual {residual:.3e} > {tol:.1e}")
+        raise SteadyStateError(_RESIDUAL.format(residual, tol), "residual")
     try:
         state = DensityMatrix(rho)
     except ValueError as exc:
-        raise SteadyStateError(f"steady state violates state invariants: {exc}") from exc
+        raise SteadyStateError(f"{_INVALID_STATE}{exc}", "invalid_state") from exc
     currents = bath_currents(liouvillian.hamiltonian, liouvillian.channels, rho)
     imbalance = abs(currents.total())
-    if imbalance > 1e-10 * max(1.0, max(abs(currents.j_l), abs(currents.j_m), abs(currents.j_r))):
-        raise SteadyStateError(f"steady-state currents do not balance: sum {imbalance:.3e}")
+    if imbalance > BALANCE_TOL * max(1.0, max(abs(currents.j_l), abs(currents.j_m), abs(currents.j_r))):
+        raise SteadyStateError(_UNBALANCED.format(imbalance), "unbalanced")
     return SteadyStateResult(state=state, residual=residual, currents=currents)
+
+
+_NON_UNIQUE = "non-unique steady state: second singular value {:.3e} below " + f"{DEGENERACY_TOL:.1e}"
+_ZERO_TRACE = "no steady state at tolerance: null vector has near-zero trace"
+_RESIDUAL = "no steady state at tolerance: residual {:.3e} > {:.1e}"
+_INVALID_STATE = "steady state violates state invariants: "
+_UNBALANCED = "steady-state currents do not balance: sum {:.3e}"
+
+
+@dataclass(frozen=True, eq=False)
+class PointSolve:
+    """One point of a batched solve: its state, residual and currents, or the failed check.
+
+    ``gap`` is the second-smallest singular value of the generator (NaN when
+    the point failed before it was measured).
+    """
+
+    rho: np.ndarray | None = None
+    residual: float = math.nan
+    currents: HeatCurrents | None = None
+    gap: float = math.nan
+    error: SteadyStateError | None = None
+
+    def result(self) -> SteadyStateResult:
+        """The validated result, or the point's SteadyStateError raised."""
+        if self.error is not None:
+            raise self.error
+        return SteadyStateResult(state=DensityMatrix(self.rho), residual=self.residual, currents=self.currents)
+
+
+def generator_coefficients(p: SystemParams) -> list[float]:
+    """coef_c(p) of the 14 generator terms, in ``BlockEngine`` term order."""
+    coef = [float(getattr(p, name)) for name in HAMILTONIAN_FIELDS]
+    for delta_e, kappa, temperature in channel_constants(p):
+        n = occupation(delta_e, temperature)
+        coef += [kappa * (n + 1.0), kappa * n]
+    return coef
+
+
+class BlockEngine:
+    """The chain's generator as coherence-order blocks of 14 fixed terms.
+
+    Term c is the c-th Hamiltonian term's commutator for c < 6, then the
+    dissipators of each channel's jump and of its adjoint. Only orders
+    0..4 are kept: the order -q block has the singular values of the +q one.
+    """
+
+    def __init__(self) -> None:
+        excitations = np.array([i + j + k for i in range(DIMS[0]) for j in range(DIMS[1]) for k in range(DIMS[2])])
+        v = np.arange(DIM * DIM)
+        row, col = v % DIM, v // DIM  # vec(rho)[v] = rho[row, col]
+        order = excitations[row] - excitations[col]
+        self.index = [np.flatnonzero(order == q) for q in range(excitations.max() + 1)]
+        self.sizes = [len(idx) for idx in self.index]
+        self.bounds = np.cumsum([0] + [m * m for m in self.sizes])
+        h_terms = hamiltonian_terms()
+        jumps = jump_operators()
+        generators = (
+            *(hamiltonian_superoperator(h) for h in h_terms),
+            *(dissipator_superoperator(a) for jump in jumps for a in (jump, jump.conj().T)),
+        )
+        self.terms = np.empty((len(h_terms) + 2 * len(jumps), self.bounds[-1]), dtype=complex)
+        for c, mat in enumerate(generators):  # one 144x144 term alive at a time
+            self.terms[c] = np.concatenate([mat[np.ix_(idx, idx)].ravel() for idx in self.index])
+
+        idx0 = self.index[0]
+        self.diagonal = np.flatnonzero(row[idx0] == col[idx0])
+        self.partner = np.searchsorted(idx0, col[idx0] + DIM * row[idx0])  # position of rho[col, row]
+        # J_P = -Tr(H D_P[rho]) = sum_c sum_{d in P} coef_c coef_d * currents[c, d] . x
+        m0 = self.sizes[0]
+        dissipators = self.terms[len(h_terms):, : m0 * m0].reshape(-1, m0, m0)
+        h_rows = np.array([vec(h.T)[idx0] for h in h_terms])
+        self.currents = -np.einsum("ck,dkl->cdl", h_rows, dissipators)
+
+    def assemble(self, coef: np.ndarray) -> list[np.ndarray]:
+        """The (n, m, m) block stacks of orders 0..4 for an (n, 14) coefficient array."""
+        # an infinite coefficient times a zero entry is NaN; solve_blocks fails that point alone
+        with np.errstate(invalid="ignore", over="ignore"):
+            flat = coef.astype(complex) @ self.terms
+        return [
+            flat[:, lo:hi].reshape(-1, m, m)
+            for lo, hi, m in zip(self.bounds[:-1], self.bounds[1:], self.sizes)
+        ]
+
+    def solve_blocks(self, blocks: list[np.ndarray], coef: np.ndarray, tol: float) -> list[PointSolve]:
+        """Steady states from assembled blocks; a point that fails any check fails alone.
+
+        The checks and bounds are ``steady_state``'s, in its order. Each
+        runs only on the points that passed the ones before it, so a
+        non-finite or singular point cannot spoil its neighbours.
+        """
+        n = len(coef)
+        errors: list[SteadyStateError | None] = [None] * n
+        gaps = np.full(n, math.nan)
+        alive = np.arange(n)
+
+        def drop(bad: np.ndarray, reason: str, message) -> None:
+            nonlocal alive
+            for k in np.flatnonzero(bad):
+                errors[alive[k]] = SteadyStateError(message(k), reason)
+            alive = alive[~bad]
+
+        finite = np.ones(n, dtype=bool)
+        for b in blocks:
+            finite &= np.isfinite(b).all(axis=(1, 2))
+        drop(~finite, "non_finite", lambda k: "generator has non-finite entries")
+
+        # The full generator's second-smallest singular value: the 0-block
+        # holds the null vector, and each other block's smallest counts.
+        s0 = np.linalg.svd(blocks[0][alive], compute_uv=False)
+        gap = s0[:, -2]
+        for b in blocks[1:]:
+            gap = np.minimum(gap, np.linalg.svd(b[alive], compute_uv=False)[:, -1])
+        gaps[alive] = gap
+        drop(~(gap >= DEGENERACY_TOL), "non_unique", lambda k: _NON_UNIQUE.format(gap[k]))
+
+        # Null vector: replace one diagonal row by the trace condition. The
+        # diagonal rows sum to zero (L preserves the trace), so the row
+        # dropped is implied by the rest.
+        pinned = self.diagonal[0]
+        system = blocks[0][alive].copy()
+        system[:, pinned, :] = 0.0
+        system[:, pinned, self.diagonal] = 1.0
+        rhs = np.zeros(system.shape[:2] + (1,), dtype=complex)
+        rhs[:, pinned] = 1.0
+        x, singular = _batched_solve(system, rhs)
+        drop(singular, "singular", lambda k: "no steady state: the trace-pinned null-space system is singular")
+        x = x[~singular, :, 0]
+
+        x = 0.5 * (x + x[:, self.partner].conj())
+        tr = x[:, self.diagonal].sum(axis=1).real
+        unit_trace = np.abs(tr) / np.linalg.norm(x, axis=1)
+        keep = unit_trace >= NULL_TRACE_FLOOR
+        drop(~keep, "zero_trace", lambda k: _ZERO_TRACE)
+        x = x[keep] / tr[keep, None]
+
+        residual = np.linalg.norm(np.einsum("nij,nj->ni", blocks[0][alive], x), axis=1)
+        keep = residual <= tol
+        drop(~keep, "residual", lambda k: _RESIDUAL.format(residual[k], tol))
+        x = x[keep]
+        residual = residual[keep]
+
+        rho = np.zeros((len(x), DIM * DIM), dtype=complex)
+        rho[:, self.index[0]] = x
+        rho = rho.reshape(-1, DIM, DIM).transpose(0, 2, 1)  # column-stacked: v = row + DIM * col
+        problems = [_state_violation(*d) for d in zip(*_state_defects(rho))]
+        keep = np.array([p is None for p in problems], dtype=bool)
+        drop(~keep, "invalid_state", lambda k: _INVALID_STATE + problems[k])
+        x, rho, residual = x[keep], rho[keep], residual[keep]
+
+        w = coef[alive]
+        h_coef, d_coef = w[:, : len(HAMILTONIAN_FIELDS)], w[:, len(HAMILTONIAN_FIELDS):]
+        terms = np.einsum("cdk,nk->ncd", self.currents, x) * h_coef[:, :, None] * d_coef[:, None, :]
+        # channels L, M1, M2, R own dissipator terms (0, 1), (2, 3), (4, 5), (6, 7)
+        currents = np.stack([terms[:, :, lo:hi].sum(axis=(1, 2)) for lo, hi in ((0, 2), (2, 6), (6, 8))], axis=1)
+        imag = np.abs(currents.imag).max(axis=1)
+        keep = imag <= IMAG_TOL
+        drop(~keep, "imaginary_current",
+             lambda k: f"heat current has imaginary residue {imag[k]:.3e} above {IMAG_TOL:.1e}")
+        currents, rho, residual = currents[keep].real, rho[keep], residual[keep]
+
+        imbalance = np.abs(currents.sum(axis=1))
+        keep = imbalance <= BALANCE_TOL * np.maximum(1.0, np.abs(currents).max(axis=1))
+        drop(~keep, "unbalanced", lambda k: _UNBALANCED.format(imbalance[k]))
+
+        out = [PointSolve(gap=float(gaps[k]), error=errors[k]) for k in range(n)]
+        for i, k in zip(np.flatnonzero(keep), alive):
+            out[k] = PointSolve(rho[i], float(residual[i]), HeatCurrents(*map(float, currents[i])), float(gaps[k]))
+        return out
+
+
+def _batched_solve(system: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve a stack; numpy fails the whole stack on one singular matrix, so retry those alone."""
+    singular = np.zeros(len(system), dtype=bool)
+    try:
+        return np.linalg.solve(system, rhs), singular
+    except np.linalg.LinAlgError:
+        pass
+    x = np.zeros_like(rhs)
+    for k in range(len(system)):
+        try:
+            x[k] = np.linalg.solve(system[k], rhs[k])
+        except np.linalg.LinAlgError:
+            singular[k] = True
+    return x, singular
+
+
+@functools.cache
+def block_engine() -> BlockEngine:
+    """The one engine of the process, built on first use rather than at import."""
+    return BlockEngine()
+
+
+def steady_states(points: Sequence[SystemParams], tol: float = 1e-10) -> list[PointSolve]:
+    """Steady states of many points, solved in chunks of ``CHUNK`` by the block engine.
+
+    A point that fails a check gets a ``PointSolve`` whose ``error`` names
+    the check; the others are unaffected. ``steady_state`` is the reference.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    engine = block_engine()
+    out: list[PointSolve] = []
+    for start in range(0, len(points), CHUNK):
+        chunk = points[start: start + CHUNK]
+        coef = np.array([generator_coefficients(p) for p in chunk])
+        out += engine.solve_blocks(engine.assemble(coef), coef, tol)
+    return out
 
 
 def _check_state(rho: np.ndarray) -> str | None:

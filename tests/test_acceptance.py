@@ -14,6 +14,7 @@ import pytest
 
 from triheat import (
     DensityMatrix,
+    SteadyStateError,
     bath_channels,
     build_superoperator,
     evolve,
@@ -94,16 +95,30 @@ def test_03_solver_cross_validation():
 def test_04_state_validity_everywhere(figure_grids):
     worst_herm = worst_trace = 0.0
     worst_eig = 1.0
+    worst_dev = 0.0  # the sweep rows against the SVD oracle, in units of each grid's max|J|
+    status_ok = True
     for name in GRID_NAMES:
-        spec, _, _ = figure_grids[name]
-        for p in grid_points(spec):
-            mat = solve(p).state.mat
+        spec, rows, _ = figure_grids[name]
+        scale = max(max(abs(r.j_l), abs(r.j_m), abs(r.j_r)) for r in rows)
+        for p, row in zip(grid_points(spec), rows):
+            try:
+                result = solve(p)
+            except SteadyStateError:
+                status_ok = status_ok and row.status == "solver_failed"
+                continue
+            status_ok = status_ok and row.status == "ok"
+            cur = result.currents
+            worst_dev = max(worst_dev, max(abs(row.j_l - cur.j_l), abs(row.j_m - cur.j_m),
+                                           abs(row.j_r - cur.j_r)) / scale)
+            mat = result.state.mat
             worst_herm = max(worst_herm, float(np.max(np.abs(mat - mat.conj().T))))
             worst_trace = max(worst_trace, abs(np.trace(mat) - 1.0))
             worst_eig = min(worst_eig, float(np.linalg.eigvalsh(mat).min()))
-    ok = worst_herm <= 1e-12 and worst_trace <= 1e-12 and worst_eig >= -1e-10
-    assert verdict(4, "every solved state is a valid density matrix",
-                   ok, f"herm {worst_herm:.1e}, trace {worst_trace:.1e}, min eig {worst_eig:.1e}")
+    ok = (worst_herm <= 1e-12 and worst_trace <= 1e-12 and worst_eig >= -1e-10
+          and status_ok and worst_dev <= 1e-9)
+    assert verdict(4, "every solved state is a valid density matrix; sweep rows match the oracle",
+                   ok, f"herm {worst_herm:.1e}, trace {worst_trace:.1e}, min eig {worst_eig:.1e}, "
+                   f"row deviation {worst_dev:.1e} max|J|, same status: {status_ok}")
 
 
 def test_05_superoperator_consistency():

@@ -10,12 +10,14 @@ from triheat import (
     bath_channels,
     free_hamiltonian,
     gibbs_state,
+    hamiltonian_terms,
     interaction_lm,
     interaction_mr,
     local_hamiltonians,
     total_hamiltonian,
     transition_ops,
 )
+from triheat.model import HAMILTONIAN_FIELDS
 from conftest import TRANSFER_PARAMS
 
 energy = st.floats(min_value=0.1, max_value=5.0, allow_nan=False)
@@ -173,6 +175,14 @@ class TestTotalHamiltonian:
     @given(p=valid_params())
     def test_interactions_traceless(self, p):
         assert abs(np.trace(total_hamiltonian(p)) - np.trace(free_hamiltonian(p))) < 1e-10
+
+    @settings(max_examples=25, deadline=None)
+    @given(p=valid_params())
+    def test_sum_of_fixed_terms(self, p):
+        terms = hamiltonian_terms()
+        assert len(terms) == len(HAMILTONIAN_FIELDS)
+        h = sum(getattr(p, name) * term for name, term in zip(HAMILTONIAN_FIELDS, terms))
+        np.testing.assert_allclose(h, total_hamiltonian(p), rtol=0, atol=1e-15 * np.max(np.abs(h)))
 
     def test_resonant_exchange_commutes(self):
         # e1 == e2 and e2 == e4 at the reference point, so both interaction

@@ -15,9 +15,11 @@ from triheat import (
     evolve,
     occupation,
     steady_state,
+    steady_states,
     total_hamiltonian,
     trace_distance,
 )
+from triheat.solvers import DEGENERACY_TOL, block_engine, generator_coefficients
 from conftest import TRANSFER_PARAMS, product_gibbs, random_density, solve
 
 QUBIT_LOWER = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -206,3 +208,129 @@ class TestSolverAgreement:
             dt = min(0.05, 1.5 / radius)
             evolved = evolve(DensityMatrix.maximally_mixed(12), liou, t_final, dt_max=dt)
             assert trace_distance(evolved, reference) <= 1e-6
+
+
+def seeded_points(seed=2027, count=48):
+    """Resonant and detuned levels, g = 0 on every fourth, T in [0.01, 30], kappa in [1e-5, 0.1]."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for i in range(count):
+        e1, e2, e4 = (1.0, 1.0, 1.0) if i % 2 == 0 else rng.uniform(0.6, 1.6, 3)
+        g = (0.0, 0.0) if i % 4 == 1 else rng.uniform(0.0, 0.3, 2)
+        kappa = 10.0 ** rng.uniform(-5.0, -1.0, 3)
+        temps = 10.0 ** rng.uniform(-2.0, math.log10(30.0), 3)
+        points.append(SystemParams(
+            e1=float(e1), e2=float(e2), e3=float(e2 + rng.uniform(0.8, 2.2)), e4=float(e4),
+            g_lm=float(g[0]), g_mr=float(g[1]),
+            kappa_l=float(kappa[0]), kappa_m=float(kappa[1]), kappa_r=float(kappa[2]),
+            t_l=float(temps[0]), t_m=float(temps[1]), t_r=float(temps[2]),
+        ))
+    return points
+
+
+def coherence_orders():
+    """N(a) - N(b) of each column-stacked generator index, N = i + j + k of state (i*3 + j)*2 + k."""
+    n = np.array([i + j + k for i in range(2) for j in range(3) for k in range(2)])
+    v = np.arange(144)
+    return n[v % 12] - n[v // 12]
+
+
+class TestBlockEngine:
+    def test_matches_oracle_on_seeded_points(self):
+        # two points with every rate below the degeneracy bound must fail in both
+        tiny = dataclasses.replace(TRANSFER_PARAMS, kappa_l=1e-12, kappa_m=1e-12, kappa_r=1e-12)
+        points = seeded_points() + [tiny, dataclasses.replace(tiny, g_lm=0.0, g_mr=0.0)]
+        solved = steady_states(points)
+        oracle = []
+        for p in points:
+            try:
+                oracle.append(solve(p))
+            except SteadyStateError as exc:
+                oracle.append(exc)
+        # currents with g = 0 are roundoff, so the bound is on the set's max|J|,
+        # as the benchmark bounds each grid's
+        scale = max(max(abs(r.currents.j_l), abs(r.currents.j_m), abs(r.currents.j_r))
+                    for r in oracle if not isinstance(r, SteadyStateError))
+        for p, ours, ref in zip(points, solved, oracle):
+            if isinstance(ref, SteadyStateError):
+                assert ours.error is not None and ours.error.reason == ref.reason, p
+                continue
+            assert ours.error is None, (p, ours.error)
+            for key in ("j_l", "j_m", "j_r"):
+                assert abs(getattr(ours.currents, key) - getattr(ref.currents, key)) <= 1e-9 * scale, p
+            assert trace_distance(ours.rho, ref.state) <= 1e-10, p
+        assert sum(isinstance(r, SteadyStateError) for r in oracle) == 2
+
+    def test_gap_is_the_full_second_singular_value(self):
+        # with level spacings below the rates, an order-1 coherence block, not
+        # the 0-block, holds the second-smallest singular value
+        slow = [
+            SystemParams(e1=e, e2=e, e3=3 * e, e4=e, g_lm=g, g_mr=g, kappa_l=0.1, kappa_m=0.1, kappa_r=0.1,
+                         t_l=t, t_m=t, t_r=t)
+            for e, g, t in ((1e-3, 1e-4, 1e-5), (0.05, 0.01, 0.005))
+        ]
+        for p in seeded_points(count=12) + slow:
+            full = np.linalg.svd(build_superoperator(total_hamiltonian(p), bath_channels(p)).matrix,
+                                 compute_uv=False)
+            (ours,) = steady_states([p])
+            assert ours.gap == pytest.approx(full[-2], rel=1e-10)
+
+    def test_affine_blocks_match_the_generator(self):
+        engine = block_engine()
+        order = coherence_orders()
+        for p in seeded_points(count=8):
+            full = build_superoperator(total_hamiltonian(p), bath_channels(p)).matrix
+            # no coupling between coherence orders, exactly
+            assert np.all(full[order[:, None] != order[None, :]] == 0)
+            blocks = engine.assemble(np.array([generator_coefficients(p)]))
+            for q, block in enumerate(blocks):
+                idx = np.flatnonzero(order == q)
+                assert np.max(np.abs(block[0] - full[np.ix_(idx, idx)])) <= 1e-14
+                mirror = np.flatnonzero(order == -q)
+                np.testing.assert_allclose(
+                    np.linalg.svd(full[np.ix_(mirror, mirror)], compute_uv=False),
+                    np.linalg.svd(block[0], compute_uv=False), rtol=1e-10, atol=1e-15,
+                )
+
+    def test_unreachable_tolerance_fails_every_point_with_residual(self):
+        solved = steady_states(seeded_points(count=4), tol=1e-40)
+        assert [s.error.reason for s in solved] == ["residual"] * 4
+        with pytest.raises(SteadyStateError, match="residual"):
+            solved[0].result()
+
+    @pytest.mark.parametrize("inject, reason", [("nan", "non_finite"), ("singular", "singular")])
+    def test_bad_matrix_fails_alone(self, inject, reason):
+        engine = block_engine()
+        points = seeded_points(count=5)
+        coef = np.array([generator_coefficients(p) for p in points])
+        blocks = engine.assemble(coef)
+        if inject == "nan":
+            blocks[1][2, 0, 0] = np.nan
+        else:
+            # a null vector of zero trace (a coherence) with a clear spectral
+            # gap: the trace-pinned system is exactly singular
+            m = blocks[0].shape[1]
+            blocks[0][2] = np.diag([0.0 if k == m - 1 else 1.0 for k in range(m)])
+        solved = engine.solve_blocks(blocks, coef, tol=1e-10)
+        reference = steady_states(points)
+        assert solved[2].error is not None and solved[2].error.reason == reason
+        for k in (0, 1, 3, 4):
+            assert solved[k].error is None
+            assert solved[k].currents == reference[k].currents
+
+    def test_infinite_rate_fails_alone(self):
+        points = seeded_points(count=3)
+        points[1] = dataclasses.replace(points[1], kappa_l=math.inf)
+        solved = steady_states(points)
+        assert [s.error.reason if s.error else "ok" for s in solved] == ["ok", "non_finite", "ok"]
+
+    def test_batch_of_one_result_is_a_density_matrix(self):
+        (solved,) = steady_states([TRANSFER_PARAMS])
+        result = solved.result()
+        assert isinstance(result.state, DensityMatrix)
+        assert result.currents == solved.currents
+        assert trace_distance(result.state, solve(TRANSFER_PARAMS).state) <= 1e-10
+
+    def test_rejects_nonpositive_tolerance(self):
+        with pytest.raises(ValueError):
+            steady_states([TRANSFER_PARAMS], tol=0.0)

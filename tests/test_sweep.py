@@ -5,14 +5,14 @@ import re
 import numpy as np
 import pytest
 
-from triheat import ConfigError, SweepAxis, SweepSpec, load_params, load_sweep
+import triheat.sweep
+from triheat import ConfigError, SweepAxis, SweepSpec, load_params, load_sweep, steady_states
 from triheat.sweep import (
     SweepRow,
     csv_columns,
     emit_csv,
     grid_points,
     run_sweep,
-    solve_point,
 )
 from triheat.svgplot import emit_plot, plot_style
 from triheat.cli import cli_main
@@ -162,6 +162,15 @@ class TestConfig:
         assert code == 1
         assert "derived column 'pole'" in capsys.readouterr().err
 
+    def test_derived_zero_divisor_reported_before_any_solve(self, tmp_path, monkeypatch):
+        path = tmp_path / "pole.cfg"
+        path.write_text(DERIVED_ONLY_CFG.format("pole = 1 / (t_m - t_r)"), encoding="utf-8")
+        calls = []
+        monkeypatch.setattr(triheat.sweep, "steady_states", lambda *args, **kw: calls.append(args))
+        with pytest.raises(ConfigError, match="'pole'"):
+            run_sweep(load_sweep(path))
+        assert calls == []
+
 
 class TestGrid:
     def test_row_count_and_order(self, sweep_cfg):
@@ -182,11 +191,12 @@ class TestGrid:
 
 class TestRunSweep:
     def test_identical_points_identical_rows(self):
-        row_a = solve_point(TRANSFER_PARAMS, tol=1e-10)
-        row_b = solve_point(TRANSFER_PARAMS, tol=1e-10)
-        assert row_a.j_l == row_b.j_l
-        assert row_a.j_m == row_b.j_m
-        assert row_a.j_r == row_b.j_r
+        # the engine's batch of one, solved twice
+        (row_a,) = steady_states([TRANSFER_PARAMS], tol=1e-10)
+        (row_b,) = steady_states([TRANSFER_PARAMS], tol=1e-10)
+        assert row_a.currents.j_l == row_b.currents.j_l
+        assert row_a.currents.j_m == row_b.currents.j_m
+        assert row_a.currents.j_r == row_b.currents.j_r
         assert row_a.residual == row_b.residual
 
     def test_thread_count_does_not_change_results(self, sweep_cfg):
@@ -198,12 +208,16 @@ class TestRunSweep:
             assert a.j_l == b.j_l and a.j_m == b.j_m and a.j_r == b.j_r
             assert a.derived == b.derived and a.status == b.status
 
-    def test_failed_points_flagged_not_dropped(self, sweep_cfg):
+    def test_failed_points_flagged_not_dropped(self, sweep_cfg, tmp_path, capsys):
         spec = load_sweep(sweep_cfg)
         rows = run_sweep(spec, tol=1e-18)  # unreachable tolerance
         assert len(rows) == 12
         assert all(r.status == "solver_failed" for r in rows)
+        assert all(r.reason == "residual" for r in rows)
         assert all(math.isnan(r.j_l) for r in rows)
+        out = tmp_path / "failed.csv"
+        assert cli_main(["sweep", "--config", str(sweep_cfg), "--out", str(out), "--tol", "1e-18"]) == 0
+        assert "(12 failed points: residual 12)" in capsys.readouterr().out
 
     def test_derived_columns_evaluated(self, sweep_cfg):
         spec = load_sweep(sweep_cfg)
