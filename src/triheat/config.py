@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import ast
 import configparser
+import math
 import operator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -167,6 +168,8 @@ def _parse_axis(raw: str, which: str) -> SweepAxis:
         start, stop, count = float(parts[1]), float(parts[2]), int(parts[3])
     except ValueError as exc:
         raise ConfigError(f"{which}: bad numbers in {raw!r}") from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"{which}: start and stop must be finite, got {start} and {stop}")
     if count < 2:
         raise ConfigError(f"{which}: count must be at least 2, got {count}")
     if start == stop:

@@ -9,7 +9,8 @@ in units of the qubit level spacing (hbar = k_B = 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -46,6 +47,10 @@ class SystemParams:
     t_r: float = 1.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if not (self.e1 > 0 and self.e2 > 0 and self.e4 > 0):
             raise ValueError("qubit/qutrit excitation energies must be positive")
         if not self.e3 > self.e2:

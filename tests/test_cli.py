@@ -147,6 +147,15 @@ class TestCheck:
         assert cli_main(["check", "--config", str(point_cfg)]) == 0
         assert "solver agreement" in capsys.readouterr().out
 
+    def test_non_finite_parameter_is_named(self, tmp_path, capsys):
+        text = (SCRIPTS / "transfer_curve.cfg").read_text(encoding="utf-8")
+        bad = tmp_path / "inf.cfg"
+        bad.write_text(text.replace("\nt_l = 2.0\n", "\nt_l = inf\n"), encoding="utf-8")
+        assert cli_main(["check", "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "t_l must be finite" in err
+        assert "Traceback" not in err
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):

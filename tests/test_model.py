@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -53,6 +54,12 @@ class TestSystemParams:
     def test_invariants_rejected(self, bad):
         with pytest.raises(ValueError):
             dataclasses.replace(TRANSFER_PARAMS, **bad)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SystemParams)])
+    def test_non_finite_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            dataclasses.replace(TRANSFER_PARAMS, **{name: value})
 
 
 class TestLocalHamiltonians:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,8 +19,10 @@ from triheat import (
     steady_states,
     total_hamiltonian,
     trace_distance,
+    unvec,
+    vec,
 )
-from triheat.solvers import DEGENERACY_TOL, block_engine, generator_coefficients
+from triheat.solvers import DEGENERACY_TOL, block_engine, generator_coefficients, invariant_support
 from conftest import TRANSFER_PARAMS, product_gibbs, random_density, solve
 
 QUBIT_LOWER = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -107,6 +110,31 @@ def transfer_liouvillian():
     return build_superoperator(total_hamiltonian(p), bath_channels(p))
 
 
+def coherent_mixture():
+    """Half the uniform superposition, half maximally mixed: every coherence is populated.
+
+    Coherences between far-separated levels are the unstable modes at large
+    steps, so this state shows an unstable step size.
+    """
+    psi = np.ones(12) / math.sqrt(12)
+    return DensityMatrix(0.5 * np.outer(psi, psi).astype(complex) + 0.5 * np.eye(12) / 12)
+
+
+def rk4_loop(rho0, liou, t_final, dt_max):
+    """Reference: explicit four-stage RK4 steps on the full generator, one at a time."""
+    steps = max(1, math.ceil(t_final / dt_max))
+    dt = t_final / steps
+    mat = liou.matrix
+    v = vec(rho0).astype(complex)
+    for _ in range(steps):
+        k1 = mat @ v
+        k2 = mat @ (v + (0.5 * dt) * k1)
+        k3 = mat @ (v + (0.5 * dt) * k2)
+        k4 = mat @ (v + dt * k3)
+        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return unvec(v), steps
+
+
 class TestEvolve:
     def test_stationary_under_commuting_dynamics(self):
         h = np.diag([0.0, 1.0]).astype(complex)
@@ -151,12 +179,34 @@ class TestEvolve:
         assert 10.0 < e1 / e2 < 24.0
 
     def test_unstable_step_raises(self):
-        # coherences between far-separated levels are the unstable modes at
-        # large steps, so start from a state that populates them
-        psi = np.ones(12) / math.sqrt(12)
-        rho0 = DensityMatrix(0.5 * np.outer(psi, psi).astype(complex) + 0.5 * np.eye(12) / 12)
-        with pytest.raises(IntegrationError, match="dt_max"):
-            evolve(rho0, transfer_liouvillian(), t_final=400.0, dt_max=1.0)
+        # the first sample that fails, and the check it fails, are named
+        with pytest.raises(IntegrationError, match=r"at t=2: negative eigenvalue .*dt_max"):
+            evolve(coherent_mixture(), transfer_liouvillian(), t_final=400.0, dt_max=1.0)
+
+    @pytest.mark.parametrize("t_final, first", [(4000.0, "t=20: "), (1e6, "t=5000: state is not finite")])
+    def test_blow_up_reports_first_sample_without_warnings(self, t_final, first):
+        # the state overflows to inf and then NaN long before the run ends;
+        # every sample is still propagated and checked in one batch
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(IntegrationError, match=first):
+                evolve(coherent_mixture(), transfer_liouvillian(), t_final=t_final, dt_max=20.0)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("case, support", [("random", 144), ("mixed", 26), ("qubit", 4)])
+    def test_matches_explicit_rk4_steps(self, rng, case, support):
+        if case == "qubit":
+            liou = single_qubit_liouvillian(kappa=0.8, temperature=1.2)
+            rho0 = np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]], dtype=complex)
+        else:
+            liou = transfer_liouvillian()
+            rho0 = random_density(rng, 12) if case == "random" else np.eye(12, dtype=complex) / 12
+        assert len(invariant_support(liou.matrix, vec(rho0))) == support
+        t_final, dt_max = 30.5, 0.05
+        reference, steps = rk4_loop(rho0, liou, t_final, dt_max)
+        assert steps % (steps // 200) != 0  # the run ends with a partial stride
+        out = evolve(DensityMatrix(rho0), liou, t_final, dt_max)
+        assert np.max(np.abs(out.mat - reference)) <= 1e-12
 
     def test_argument_validation(self):
         liou = single_qubit_liouvillian()
@@ -320,7 +370,8 @@ class TestBlockEngine:
 
     def test_infinite_rate_fails_alone(self):
         points = seeded_points(count=3)
-        points[1] = dataclasses.replace(points[1], kappa_l=math.inf)
+        # SystemParams rejects non-finite fields, so set one past its validation
+        object.__setattr__(points[1], "kappa_l", math.inf)
         solved = steady_states(points)
         assert [s.error.reason if s.error else "ok" for s in solved] == ["ok", "non_finite", "ok"]
 

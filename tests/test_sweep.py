@@ -111,6 +111,8 @@ class TestConfig:
             "t_r : 0.1 : 0.6 : 4",                    # not dotted
             "temperatures.t_r : 0.1 : 0.6 : 1",       # count too small
             "temperatures.t_r : 0.1 : 0.1 : 4",       # start == stop
+            "temperatures.t_r : 0.1 : inf : 4",       # non-finite stop
+            "temperatures.t_r : nan : 0.6 : 4",       # non-finite start
         ],
     )
     def test_bad_axes(self, tmp_path, axis):
