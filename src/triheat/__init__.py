@@ -18,12 +18,8 @@ from .model import (
     BathChannel,
     SystemParams,
     bath_channels,
-    free_hamiltonian,
     gibbs_state,
     hamiltonian_terms,
-    interaction_lm,
-    interaction_mr,
-    local_hamiltonians,
     total_hamiltonian,
     transition_ops,
 )

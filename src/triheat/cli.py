@@ -24,6 +24,8 @@ from .lindblad import build_superoperator, rhs_apply, unvec, vec
 from .model import SystemParams, bath_channels, gibbs_state, total_hamiltonian
 from .observables import bath_currents, reduced_populations
 from .solvers import (
+    BALANCE_TOL,
+    EIG_FLOOR,
     DensityMatrix,
     IntegrationError,
     SteadyStateError,
@@ -37,12 +39,7 @@ from .svgplot import emit_plot
 
 # Default operating point for `check` when no config is given: the resonant
 # chain with a hot left bath, a cold middle bath, and an intermediate right bath.
-DEFAULT_PARAMS = SystemParams(
-    e1=1.0, e2=1.0, e3=3.0, e4=1.0,
-    g_lm=0.1, g_mr=0.1,
-    kappa_l=0.05, kappa_m=0.02, kappa_r=0.05,
-    t_l=2.0, t_m=0.1, t_r=0.5,
-)
+DEFAULT_PARAMS = SystemParams(t_l=2.0, t_m=0.1, t_r=0.5)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -141,11 +138,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
     report("steady-state residual", result.residual <= args.tol, f"residual {result.residual:.3e}")
 
     cur = result.currents
-    bound = 1e-10 * max(1.0, max(abs(cur.j_l), abs(cur.j_m), abs(cur.j_r)))
+    bound = BALANCE_TOL * max(1.0, max(abs(cur.j_l), abs(cur.j_m), abs(cur.j_r)))
     report("current conservation", abs(cur.total()) <= bound, f"|J_L+J_M+J_R| = {abs(cur.total()):.3e}")
 
     min_eig = float(np.linalg.eigvalsh(result.state.mat).min())
-    report("positivity", min_eig >= -1e-10, f"min eigenvalue {min_eig:.3e}")
+    report("positivity", min_eig >= EIG_FLOOR, f"min eigenvalue {min_eig:.3e}")
 
     rng = np.random.default_rng(7)
     worst = 0.0

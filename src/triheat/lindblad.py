@@ -80,9 +80,9 @@ def vec(rho: np.ndarray) -> np.ndarray:
 
 
 def unvec(v: np.ndarray) -> np.ndarray:
-    """Inverse of ``vec``."""
-    dim = math.isqrt(v.size)
-    return v.reshape((dim, dim), order="F")
+    """Inverse of ``vec``; a stack of vectors (..., dim*dim) gives a stack of matrices."""
+    dim = math.isqrt(v.shape[-1])
+    return np.swapaxes(v.reshape(v.shape[:-1] + (dim, dim)), -1, -2)
 
 
 def hamiltonian_superoperator(h: np.ndarray) -> np.ndarray:

@@ -5,6 +5,12 @@ The composite Hilbert space is 2 x 3 x 2 = 12 dimensional with basis
 basis index = (i*3 + j)*2 + k for left level i, middle level j, right
 level k. Energies, couplings, rates and temperatures are all expressed
 in units of the qubit level spacing (hbar = k_B = 1).
+
+This module is the one place that states the chain's structure: the
+parameters (``SystemParams``), the Hamiltonian as the affine sum
+sum_c p.<HAMILTONIAN_FIELDS[c]> * H_c over the fixed ``hamiltonian_terms``,
+the four channels (``CHANNEL_LABELS``, ``jump_operators``,
+``channel_constants``) and which channels make up each bath (``BATHS``).
 """
 
 from __future__ import annotations
@@ -17,10 +23,13 @@ import numpy as np
 
 
 DIMS = (2, 3, 2)
-DIM = 12
+DIM = math.prod(DIMS)
 # The parameters the Hamiltonian is linear in, in ``hamiltonian_terms`` order.
 HAMILTONIAN_FIELDS = ("e1", "e2", "e3", "e4", "g_lm", "g_mr")
 CHANNEL_LABELS = ("L", "M1", "M2", "R")
+# The channels each bath's heat current sums over, keyed by the current's
+# name: the middle bath drives both qutrit transitions.
+BATHS = {"j_l": ("L",), "j_m": ("M1", "M2"), "j_r": ("R",)}
 
 
 @dataclass(frozen=True)
@@ -103,14 +112,6 @@ def transition_ops() -> TransitionOps:
     return TransitionOps(sm, sm.conj().T, o01, o12, o01.conj().T, o12.conj().T)
 
 
-def local_hamiltonians(p: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Diagonal subsystem Hamiltonians (2x2, 3x3, 2x2), ground levels at 0."""
-    h_left = np.diag([0.0, p.e1]).astype(complex)
-    h_mid = np.diag([0.0, p.e2, p.e3]).astype(complex)
-    h_right = np.diag([0.0, p.e4]).astype(complex)
-    return h_left, h_mid, h_right
-
-
 def _lift(left: np.ndarray, mid: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Tensor product of one operator per factor, in basis order."""
     return np.kron(np.kron(left, mid), right)
@@ -122,36 +123,12 @@ def _exchange(left: np.ndarray, mid: np.ndarray, right: np.ndarray) -> np.ndarra
     return term + term.conj().T
 
 
-def free_hamiltonian(p: SystemParams) -> np.ndarray:
-    """Sum of the lifted subsystem Hamiltonians; diagonal on the 12-dim space."""
-    h_left, h_mid, h_right = local_hamiltonians(p)
-    i2 = np.eye(2, dtype=complex)
-    i3 = np.eye(3, dtype=complex)
-    return _lift(h_left, i3, i2) + _lift(i2, h_mid, i2) + _lift(i2, i3, h_right)
-
-
-def interaction_lm(p: SystemParams) -> np.ndarray:
-    """Excitation exchange between the left qubit and the qutrit 0<->1 transition."""
-    ops = transition_ops()
-    return p.g_lm * _exchange(ops.qubit_raise, ops.qutrit_lower_01, np.eye(2, dtype=complex))
-
-
-def interaction_mr(p: SystemParams) -> np.ndarray:
-    """Excitation exchange between the qutrit 0<->1 transition and the right qubit."""
-    ops = transition_ops()
-    return p.g_mr * _exchange(np.eye(2, dtype=complex), ops.qutrit_lower_01, ops.qubit_raise)
-
-
-def total_hamiltonian(p: SystemParams) -> np.ndarray:
-    """Free part plus both exchange interactions; Hermitian by construction."""
-    return free_hamiltonian(p) + interaction_lm(p) + interaction_mr(p)
-
-
 def hamiltonian_terms() -> tuple[np.ndarray, ...]:
-    """The fixed operators H_c with total_hamiltonian(p) = sum_c p.<HAMILTONIAN_FIELDS[c]> * H_c.
+    """The fixed operators H_c of ``total_hamiltonian``, in ``HAMILTONIAN_FIELDS`` order.
 
-    One per field: the projectors onto the excited levels carrying e1, e2, e3
-    and e4, then the two unit-strength exchange terms.
+    The projectors onto the excited levels carrying e1, e2, e3 and e4, then
+    the unit-strength exchanges of the left qubit and of the right qubit with
+    the qutrit's 0<->1 transition.
     """
     ops = transition_ops()
     i2 = np.eye(2, dtype=complex)
@@ -165,6 +142,11 @@ def hamiltonian_terms() -> tuple[np.ndarray, ...]:
         _exchange(ops.qubit_raise, ops.qutrit_lower_01, i2),
         _exchange(i2, ops.qutrit_lower_01, ops.qubit_raise),
     )
+
+
+def total_hamiltonian(p: SystemParams) -> np.ndarray:
+    """sum_c p.<HAMILTONIAN_FIELDS[c]> * H_c over ``hamiltonian_terms``; Hermitian by construction."""
+    return sum(getattr(p, name) * term for name, term in zip(HAMILTONIAN_FIELDS, hamiltonian_terms()))
 
 
 def jump_operators() -> tuple[np.ndarray, ...]:

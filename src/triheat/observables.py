@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .lindblad import dissipator_apply
-from .model import DIMS, BathChannel
+from .model import BATHS, DIMS, BathChannel
 
 IMAG_TOL = 1e-11
 
@@ -49,11 +49,9 @@ def heat_current(h: np.ndarray, channel_group: Sequence[BathChannel], rho: np.nd
 def bath_currents(h: np.ndarray, channels: Sequence[BathChannel], rho: np.ndarray) -> HeatCurrents:
     """Currents for the left bath, the middle bath (both transitions), and the right bath."""
     by_label = {ch.label: ch for ch in channels}
-    return HeatCurrents(
-        j_l=heat_current(h, [by_label["L"]], rho),
-        j_m=heat_current(h, [by_label["M1"], by_label["M2"]], rho),
-        j_r=heat_current(h, [by_label["R"]], rho),
-    )
+    return HeatCurrents(**{
+        name: heat_current(h, [by_label[label] for label in labels], rho) for name, labels in BATHS.items()
+    })
 
 
 def partial_trace(rho: np.ndarray, dims: list[int], keep: int) -> np.ndarray:

@@ -42,7 +42,17 @@ from .lindblad import (
     unvec,
     vec,
 )
-from .model import DIM, DIMS, HAMILTONIAN_FIELDS, SystemParams, channel_constants, hamiltonian_terms, jump_operators
+from .model import (
+    BATHS,
+    CHANNEL_LABELS,
+    DIM,
+    DIMS,
+    HAMILTONIAN_FIELDS,
+    SystemParams,
+    channel_constants,
+    hamiltonian_terms,
+    jump_operators,
+)
 from .observables import IMAG_TOL, HeatCurrents, bath_currents
 
 HERM_TOL = 1e-12
@@ -83,6 +93,8 @@ class DensityMatrix:
         m = self.mat
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix has non-finite entries")
         problem = _state_violation(*_state_defects(m))
         if problem is not None:
             raise ValueError(problem)
@@ -209,8 +221,7 @@ class BlockEngine:
 
     def __init__(self) -> None:
         excitations = np.array([i + j + k for i in range(DIMS[0]) for j in range(DIMS[1]) for k in range(DIMS[2])])
-        v = np.arange(DIM * DIM)
-        row, col = v % DIM, v // DIM  # vec(rho)[v] = rho[row, col]
+        row, col = (vec(m) for m in np.indices((DIM, DIM)))  # vec(rho)[v] = rho[row[v], col[v]]
         order = excitations[row] - excitations[col]
         self.index = [np.flatnonzero(order == q) for q in range(excitations.max() + 1)]
         self.sizes = [len(idx) for idx in self.index]
@@ -227,12 +238,18 @@ class BlockEngine:
 
         idx0 = self.index[0]
         self.diagonal = np.flatnonzero(row[idx0] == col[idx0])
-        self.partner = np.searchsorted(idx0, col[idx0] + DIM * row[idx0])  # position of rho[col, row]
+        swapped = vec(unvec(np.arange(DIM * DIM)).T)  # vec(rho.T)[v] = vec(rho)[swapped[v]]
+        self.partner = np.searchsorted(idx0, swapped[idx0])  # position of rho[col, row]
         # J_P = -Tr(H D_P[rho]) = sum_c sum_{d in P} coef_c coef_d * currents[c, d] . x
         m0 = self.sizes[0]
         dissipators = self.terms[len(h_terms):, : m0 * m0].reshape(-1, m0, m0)
         h_rows = np.array([vec(h.T)[idx0] for h in h_terms])
         self.currents = -np.einsum("ck,dkl->cdl", h_rows, dissipators)
+        # channel P owns the dissipator terms 2P (its jump) and 2P + 1 (the adjoint)
+        self.bath_terms = [
+            np.array([2 * CHANNEL_LABELS.index(label) + s for label in labels for s in (0, 1)])
+            for labels in BATHS.values()
+        ]
 
     def assemble(self, coef: np.ndarray) -> list[np.ndarray]:
         """The (n, m, m) block stacks of orders 0..4 for an (n, 14) coefficient array."""
@@ -304,7 +321,7 @@ class BlockEngine:
 
         rho = np.zeros((len(x), DIM * DIM), dtype=complex)
         rho[:, self.index[0]] = x
-        rho = rho.reshape(-1, DIM, DIM).transpose(0, 2, 1)  # column-stacked: v = row + DIM * col
+        rho = unvec(rho)
         problems = [_state_violation(*d) for d in zip(*_state_defects(rho))]
         keep = np.array([p is None for p in problems], dtype=bool)
         drop(~keep, "invalid_state", lambda k: _INVALID_STATE + problems[k])
@@ -313,8 +330,7 @@ class BlockEngine:
         w = coef[alive]
         h_coef, d_coef = w[:, : len(HAMILTONIAN_FIELDS)], w[:, len(HAMILTONIAN_FIELDS):]
         terms = np.einsum("cdk,nk->ncd", self.currents, x) * h_coef[:, :, None] * d_coef[:, None, :]
-        # channels L, M1, M2, R own dissipator terms (0, 1), (2, 3), (4, 5), (6, 7)
-        currents = np.stack([terms[:, :, lo:hi].sum(axis=(1, 2)) for lo, hi in ((0, 2), (2, 6), (6, 8))], axis=1)
+        currents = np.stack([terms[:, :, bath].sum(axis=(1, 2)) for bath in self.bath_terms], axis=1)
         imag = np.abs(currents.imag).max(axis=1)
         keep = imag <= IMAG_TOL
         drop(~keep, "imaginary_current",
@@ -371,10 +387,11 @@ def steady_states(points: Sequence[SystemParams], tol: float = 1e-10) -> list[Po
 
 
 def _first_bad_sample(rho: np.ndarray) -> tuple[int, str] | None:
-    """The first state of a stack that fails the mid-integration checks, and why; None if all pass.
+    """The first state of a stack that fails the mid-integration checks, and every check it fails.
 
     The checks are those of a density matrix at 10x its tolerances, in the
-    order finite, Hermitian, trace drift, smallest eigenvalue. The states
+    order finite, Hermitian, trace drift, smallest eigenvalue; the failed
+    ones are listed in that order. None if all states pass. The states
     from the first non-finite one on are not measured, so a blow-up never
     reaches LAPACK.
     """
@@ -389,7 +406,7 @@ def _first_bad_sample(rho: np.ndarray) -> tuple[int, str] | None:
     failing = np.flatnonzero(np.logical_or.reduce([bad for bad, _, _ in checks]))
     if failing.size:
         k = int(failing[0])
-        return next((k, message.format(value[k])) for bad, message, value in checks if bad[k])
+        return k, ", ".join(message.format(value[k]) for bad, message, value in checks if bad[k])
     return None if n == len(rho) else (n, "state is not finite")
 
 
@@ -456,7 +473,7 @@ def evolve(
         samples.append(last @ v)
     full = np.zeros((len(samples), v0.size), dtype=complex)
     full[:, support] = samples
-    states = full.reshape(len(samples), rho0.dim, rho0.dim).transpose(0, 2, 1)  # column-stacked
+    states = unvec(full)
     failed = _first_bad_sample(states)
     if failed is not None:
         k, problem = failed

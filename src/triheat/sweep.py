@@ -27,7 +27,7 @@ from .lindblad import build_superoperator  # noqa: F401
 from .model import bath_channels, total_hamiltonian  # noqa: F401
 from .solvers import steady_state  # noqa: F401
 
-PARAM_FIELDS = ("e1", "e2", "e3", "e4", "g_lm", "g_mr", "kappa_l", "kappa_m", "kappa_r", "t_l", "t_m", "t_r")
+PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(SystemParams))
 STATUS_OK = "ok"
 STATUS_FAILED = "solver_failed"
 

@@ -1,8 +1,9 @@
+import sys
 from pathlib import Path
 
 import pytest
 
-from triheat.cli import cli_main
+from triheat.cli import cli_main, main
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -169,3 +170,11 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0
+
+    @pytest.mark.parametrize("argv, code", [(["check"], 0), ([], 2)], ids=["check", "no-arguments"])
+    def test_console_entry_point_exit_code(self, monkeypatch, capsys, argv, code):
+        # main() is what the installed `triheat` script calls: sys.argv in, sys.exit out
+        monkeypatch.setattr(sys, "argv", ["triheat", *argv])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == code

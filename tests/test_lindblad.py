@@ -127,6 +127,13 @@ class TestVectorization:
         assert np.array_equal(vec(m), np.array([1.0, 3.0, 2.0, 4.0], dtype=complex))
         assert np.array_equal(unvec(vec(m)), m)
 
+    def test_unvec_of_a_stack(self, rng):
+        mats = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+        stack = np.array([vec(m) for m in mats])
+        assert unvec(stack).shape == (4, 3, 3)
+        assert np.array_equal(unvec(stack), mats)
+        assert np.array_equal(unvec(stack.reshape(2, 2, 9)), mats.reshape(2, 2, 3, 3))
+
     def test_sandwich_identity(self, rng):
         # vec(A X B) == (B^T kron A) vec(X), the convention everything relies on
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))

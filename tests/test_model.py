@@ -9,12 +9,8 @@ from hypothesis import strategies as st
 from triheat import (
     SystemParams,
     bath_channels,
-    free_hamiltonian,
     gibbs_state,
     hamiltonian_terms,
-    interaction_lm,
-    interaction_mr,
-    local_hamiltonians,
     total_hamiltonian,
     transition_ops,
 )
@@ -62,44 +58,61 @@ class TestSystemParams:
             dataclasses.replace(TRANSFER_PARAMS, **{name: value})
 
 
+def basis_index(i, j, k):
+    return (i * 3 + j) * 2 + k
+
+
+def hamiltonian(p, **couplings):
+    """total_hamiltonian at p with the given couplings; both are 0 unless given."""
+    return total_hamiltonian(dataclasses.replace(p, **{"g_lm": 0.0, "g_mr": 0.0, **couplings}))
+
+
+def off_diagonal(h):
+    return h - np.diag(np.diag(h))
+
+
 class TestLocalHamiltonians:
+    """The level energies of each factor, read off total_hamiltonian's g = 0 diagonal."""
+
     def test_reference_energies(self):
-        h_l, h_m, h_r = local_hamiltonians(TRANSFER_PARAMS)
-        assert np.array_equal(h_l, np.diag([0.0, 1.0]))
-        assert np.array_equal(h_m, np.diag([0.0, 1.0, 3.0]))
-        assert np.array_equal(h_r, np.diag([0.0, 1.0]))
+        d = np.diag(hamiltonian(TRANSFER_PARAMS))
+        assert np.array_equal([d[basis_index(i, 0, 0)] for i in range(2)], [0.0, 1.0])
+        assert np.array_equal([d[basis_index(0, j, 0)] for j in range(3)], [0.0, 1.0, 3.0])
+        assert np.array_equal([d[basis_index(0, 0, k)] for k in range(2)], [0.0, 1.0])
 
     @settings(max_examples=25, deadline=None)
     @given(p=valid_params())
     def test_diagonal_with_zero_ground(self, p):
-        for h in local_hamiltonians(p):
-            assert np.max(np.abs(h - np.diag(np.diag(h)))) == 0.0
-            assert np.max(np.abs(h.imag)) == 0.0
-            assert h[0, 0] == 0.0
+        h = hamiltonian(p)
+        assert np.max(np.abs(off_diagonal(h))) == 0.0
+        assert np.max(np.abs(h.imag)) == 0.0
+        assert h[0, 0] == 0.0
 
     @settings(max_examples=25, deadline=None)
     @given(p=valid_params())
     def test_middle_trace(self, p):
-        _, h_m, _ = local_hamiltonians(p)
-        assert abs(np.trace(h_m) - (p.e2 + p.e3)) < 1e-12
+        d = np.diag(hamiltonian(p))
+        assert abs(d[basis_index(0, 1, 0)] + d[basis_index(0, 2, 0)] - (p.e2 + p.e3)) < 1e-12
 
 
 class TestFreeHamiltonian:
+    """total_hamiltonian with both couplings off."""
+
     def test_reference_diagonal(self):
         # Enumerated by hand: E_L(i) + E_M(j) + E_R(k), right index fastest.
         expected = [0, 1, 1, 2, 3, 4, 1, 2, 2, 3, 4, 5]
-        h0 = free_hamiltonian(TRANSFER_PARAMS)
+        h0 = hamiltonian(TRANSFER_PARAMS)
         assert np.max(np.abs(h0 - np.diag(expected).astype(complex))) == 0.0
 
     def test_vanishing_energies_limit(self):
         tiny = dataclasses.replace(TRANSFER_PARAMS, e1=1e-15, e2=1e-15, e3=2e-15, e4=1e-15)
-        assert np.max(np.abs(free_hamiltonian(tiny))) < 1e-14
+        assert np.max(np.abs(hamiltonian(tiny))) < 1e-14
 
     @settings(max_examples=25, deadline=None)
     @given(p=valid_params())
     def test_trace_multiplicities(self, p):
         expected = 6 * p.e1 + 4 * p.e2 + 4 * p.e3 + 6 * p.e4
-        assert abs(np.trace(free_hamiltonian(p)) - expected) < 1e-10
+        assert abs(np.trace(hamiltonian(p)) - expected) < 1e-10
 
 
 class TestTransitionOps:
@@ -126,25 +139,23 @@ class TestTransitionOps:
         assert np.array_equal(ops.qutrit_raise_12, ops.qutrit_lower_12.conj().T)
 
 
-def basis_index(i, j, k):
-    return (i * 3 + j) * 2 + k
-
-
 class TestInteractions:
+    """The off-diagonal part of total_hamiltonian: the two exchange couplings."""
+
     def test_zero_coupling(self):
-        p = dataclasses.replace(TRANSFER_PARAMS, g_lm=0.0, g_mr=0.0)
-        assert np.max(np.abs(interaction_lm(p))) == 0.0
-        assert np.max(np.abs(interaction_mr(p))) == 0.0
+        assert np.max(np.abs(off_diagonal(hamiltonian(TRANSFER_PARAMS)))) == 0.0
 
     @settings(max_examples=25, deadline=None)
     @given(p=valid_params())
     def test_hermitian(self, p):
-        for h in (interaction_lm(p), interaction_mr(p), total_hamiltonian(p)):
+        lm = off_diagonal(hamiltonian(p, g_lm=p.g_lm))
+        mr = off_diagonal(hamiltonian(p, g_mr=p.g_mr))
+        for h in (lm, mr, total_hamiltonian(p)):
             assert np.max(np.abs(h - h.conj().T)) <= 1e-14
 
     def test_lm_connects_expected_states(self):
         # exchange |1,0,k> <-> |0,1,k| only, with amplitude g_lm
-        h = interaction_lm(TRANSFER_PARAMS)
+        h = off_diagonal(hamiltonian(TRANSFER_PARAMS, g_lm=TRANSFER_PARAMS.g_lm))
         expected = {
             (basis_index(1, 0, k), basis_index(0, 1, k)) for k in (0, 1)
         } | {
@@ -157,7 +168,7 @@ class TestInteractions:
 
     def test_mr_connects_expected_states(self):
         # exchange |i,1,0> <-> |i,0,1| only, with amplitude g_mr
-        h = interaction_mr(TRANSFER_PARAMS)
+        h = off_diagonal(hamiltonian(TRANSFER_PARAMS, g_mr=TRANSFER_PARAMS.g_mr))
         expected = {
             (basis_index(i, 0, 1), basis_index(i, 1, 0)) for i in (0, 1)
         } | {
@@ -171,8 +182,11 @@ class TestInteractions:
 
 class TestTotalHamiltonian:
     def test_reduces_to_free_part(self):
-        p = dataclasses.replace(TRANSFER_PARAMS, g_lm=0.0, g_mr=0.0)
-        assert np.array_equal(total_hamiltonian(p), free_hamiltonian(p))
+        # with g = 0 the diagonal is E_L(i) + E_M(j) + E_R(k), built here from the levels
+        p = TRANSFER_PARAMS
+        left, mid, right = (0.0, p.e1), (0.0, p.e2, p.e3), (0.0, p.e4)
+        free = [left[i] + mid[j] + right[k] for i in range(2) for j in range(3) for k in range(2)]
+        assert np.array_equal(hamiltonian(p), np.diag(free).astype(complex))
 
     def test_real_spectrum(self):
         ev = np.linalg.eigvals(total_hamiltonian(TRANSFER_PARAMS))
@@ -181,7 +195,7 @@ class TestTotalHamiltonian:
     @settings(max_examples=25, deadline=None)
     @given(p=valid_params())
     def test_interactions_traceless(self, p):
-        assert abs(np.trace(total_hamiltonian(p)) - np.trace(free_hamiltonian(p))) < 1e-10
+        assert abs(np.trace(total_hamiltonian(p)) - np.trace(hamiltonian(p))) < 1e-10
 
     @settings(max_examples=25, deadline=None)
     @given(p=valid_params())
@@ -195,14 +209,14 @@ class TestTotalHamiltonian:
         # e1 == e2 and e2 == e4 at the reference point, so both interaction
         # terms conserve the free energy
         p = TRANSFER_PARAMS
-        h0 = free_hamiltonian(p)
-        for v in (interaction_lm(p), interaction_mr(p)):
+        h0 = hamiltonian(p)
+        for v in (off_diagonal(hamiltonian(p, g_lm=p.g_lm)), off_diagonal(hamiltonian(p, g_mr=p.g_mr))):
             assert np.max(np.abs(h0 @ v - v @ h0)) <= 1e-12
 
     def test_detuned_exchange_does_not_commute(self):
         p = dataclasses.replace(TRANSFER_PARAMS, e1=1.7)
-        h0 = free_hamiltonian(p)
-        v = interaction_lm(p)
+        h0 = hamiltonian(p)
+        v = off_diagonal(hamiltonian(p, g_lm=p.g_lm))
         assert np.max(np.abs(h0 @ v - v @ h0)) > 1e-3
 
 

@@ -48,6 +48,15 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_entries_by_name(self, value):
+        # named before any arithmetic: inf - inf in the Hermiticity check
+        # would warn, and NaN would read as a Hermiticity defect of nan
+        bad = np.eye(2, dtype=complex) / 2
+        bad[0, 0] = value
+        with pytest.raises(ValueError, match="^density matrix has non-finite entries$"):
+            DensityMatrix(bad)
+
 
 class TestTraceDistance:
     def test_zero_for_identical(self, rng):
@@ -183,7 +192,13 @@ class TestEvolve:
         with pytest.raises(IntegrationError, match=r"at t=2: negative eigenvalue .*dt_max"):
             evolve(coherent_mixture(), transfer_liouvillian(), t_final=400.0, dt_max=1.0)
 
-    @pytest.mark.parametrize("t_final, first", [(4000.0, "t=20: "), (1e6, "t=5000: state is not finite")])
+    @pytest.mark.parametrize("t_final, first", [
+        # every check the first failing sample fails is named, so the blow-up
+        # reads as a negative eigenvalue, not only as a round-off-sized
+        # Hermiticity defect
+        pytest.param(4000.0, r"t=20: .*negative eigenvalue -2\.343e\+05;", id="4000.0-negative-eigenvalue"),
+        (1e6, "t=5000: state is not finite"),
+    ])
     def test_blow_up_reports_first_sample_without_warnings(self, t_final, first):
         # the state overflows to inf and then NaN long before the run ends;
         # every sample is still propagated and checked in one batch
