@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from collections import Counter
 
@@ -33,6 +34,7 @@ from .solvers import (
     steady_state,
     steady_states,
     trace_distance,
+    trajectory,
 )
 from .sweep import STATUS_OK, emit_csv, run_sweep
 from .svgplot import emit_plot
@@ -42,6 +44,7 @@ from .svgplot import emit_plot
 DEFAULT_PARAMS = SystemParams(t_l=2.0, t_m=0.1, t_r=0.5)
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one per process serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="triheat", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -110,12 +113,10 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         raise ConfigError("t-final must be positive and samples at least 1")
     times = np.linspace(0.0, args.t_final, args.samples + 1)
     liou = build_superoperator(h, channels)
-    state = DensityMatrix.maximally_mixed(h.shape[0])
+    states = trajectory(DensityMatrix.maximally_mixed(h.shape[0]), liou, args.t_final, args.samples, args.dt_max)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("t,j_l,j_m,j_r\n")
-        for i, t in enumerate(times):
-            if i > 0:
-                state = evolve(state, liou, float(times[i] - times[i - 1]), dt_max=args.dt_max)
+        for t, state in zip(times, states):
             cur = bath_currents(h, channels, state.mat)
             fh.write(",".join(format(v, ".17g") for v in (t, cur.j_l, cur.j_m, cur.j_r)) + "\n")
     print(f"wrote {len(times)} samples to {args.out}")

@@ -3,12 +3,16 @@
 ``steady_state`` and ``evolve`` consume the one dense generator matrix from
 ``build_superoperator`` and differ only in algorithm: an algebraic
 null-space solve (SVD, smallest singular vector) and a classical fixed-step
-RK4 integration of d vec(rho)/dt = L vec(rho). L is linear, so ``evolve``
-builds the one-step RK4 matrix P on the entries of vec(rho) that the
-initial state can reach through L, and powers it from one state check to
-the next. The test suite cross-checks the two algorithms against each
-other, checks ``evolve`` against explicit RK4 steps, and checks the matrix
-itself against the operator form ``rhs_apply``.
+RK4 integration of d vec(rho)/dt = L vec(rho). L is linear, so
+``trajectory`` builds the one-step RK4 matrix P on the entries of vec(rho)
+that the initial state can reach through L, powers it from one state check
+to the next, and carries every output interval's checked states to the
+next interval with one matrix product. ``evolve`` is its one-interval case.
+The state checks run on the support's entries and on the diagonal blocks
+the support splits the state into. The test suite cross-checks the two
+algorithms against each other, checks ``evolve`` against explicit RK4
+steps and ``trajectory`` against a loop of ``evolve`` calls, and checks
+the matrix itself against the operator form ``rhs_apply``.
 
 ``steady_states`` is the batched engine the sweeps and ``triheat steady``
 run on, with ``steady_state`` as its oracle. It uses two facts about the
@@ -237,9 +241,9 @@ class BlockEngine:
             self.terms[c] = np.concatenate([mat[np.ix_(idx, idx)].ravel() for idx in self.index])
 
         idx0 = self.index[0]
-        self.diagonal = np.flatnonzero(row[idx0] == col[idx0])
-        swapped = vec(unvec(np.arange(DIM * DIM)).T)  # vec(rho.T)[v] = vec(rho)[swapped[v]]
-        self.partner = np.searchsorted(idx0, swapped[idx0])  # position of rho[col, row]
+        # order 0 is closed under transposition, so every partner lies in the block
+        layout = StateSupport(idx0, DIM)
+        self.diagonal, self.partner = layout.diagonal, layout.partner
         # J_P = -Tr(H D_P[rho]) = sum_c sum_{d in P} coef_c coef_d * currents[c, d] . x
         m0 = self.sizes[0]
         dissipators = self.terms[len(h_terms):, : m0 * m0].reshape(-1, m0, m0)
@@ -386,8 +390,49 @@ def steady_states(points: Sequence[SystemParams], tol: float = 1e-10) -> list[Po
     return out
 
 
-def _first_bad_sample(rho: np.ndarray) -> tuple[int, str] | None:
-    """The first state of a stack that fails the mid-integration checks, and every check it fails.
+class StateSupport:
+    """The entries of vec(rho) a run can fill, and the layout the state checks read them in.
+
+    A vector x over ``index`` stands for the dim x dim state with those
+    entries and exact zeros elsewhere, which ``invariant_support``
+    guarantees. The levels that the entries link (rho[a, b] links a and b)
+    fall into components, and the state is block-diagonal over them, so its
+    eigenvalues are those of the blocks. A level no entry touches is a 1x1
+    zero block. For the maximally mixed start of the chain the blocks have
+    sizes 1, 3, 3, 1, 2, 1, 1; a state with full support is one block.
+    """
+
+    def __init__(self, index: np.ndarray, dim: int) -> None:
+        self.index = index
+        row, col = (vec(m)[index] for m in np.indices((dim, dim)))  # x[s] = rho[row[s], col[s]]
+        where = np.full(dim * dim, len(index))  # position of each vec entry in [x, 0]
+        where[index] = np.arange(len(index))
+        where = unvec(where)  # where[a, b]: position of rho[a, b]
+        self.partner = where[col, row]  # position of rho[b, a] for each entry rho[a, b]
+        self.diagonal = np.flatnonzero(row == col)
+        link = np.eye(dim, dtype=bool)
+        link[row, col] = link[col, row] = True
+        while not np.array_equal(grown := link @ link, link):  # link[a, b]: a and b share a component
+            link = grown
+        by_size: dict[int, list[np.ndarray]] = {}
+        for level, component in enumerate(link):
+            levels = np.flatnonzero(component)
+            if levels[0] != level:  # each component is taken at its lowest level
+                continue
+            by_size.setdefault(len(levels), []).append(where[np.ix_(levels, levels)])
+        self.blocks = [np.array(gathers) for gathers in by_size.values()]  # (count, k, k) positions each
+
+    def defects(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_state_defects`` of the states that a stack of support vectors (n, len(index)) stands for."""
+        padded = np.concatenate([x, np.zeros((len(x), 1), dtype=x.dtype)], axis=1)
+        herm = np.abs(x - padded[:, self.partner].conj()).max(axis=1)
+        tr_err = np.abs(x[:, self.diagonal].sum(axis=1) - 1.0)
+        min_eig = np.min([np.linalg.eigvalsh(padded[:, b]).min(axis=(1, 2)) for b in self.blocks], axis=0)
+        return herm, tr_err, min_eig
+
+
+def _first_bad_sample(x: np.ndarray, support: StateSupport) -> tuple[int, str] | None:
+    """The first state of a stack of support vectors that fails the mid-integration checks, and every check it fails.
 
     The checks are those of a density matrix at 10x its tolerances, in the
     order finite, Hermitian, trace drift, smallest eigenvalue; the failed
@@ -395,9 +440,9 @@ def _first_bad_sample(rho: np.ndarray) -> tuple[int, str] | None:
     from the first non-finite one on are not measured, so a blow-up never
     reaches LAPACK.
     """
-    finite = np.isfinite(rho).all(axis=(-2, -1))
-    n = len(rho) if finite.all() else int(np.argmin(finite))
-    herm, tr_err, min_eig = _state_defects(rho[:n])
+    finite = np.isfinite(x).all(axis=1)
+    n = len(x) if finite.all() else int(np.argmin(finite))
+    herm, tr_err, min_eig = support.defects(x[:n])
     checks = (
         (herm > 10 * HERM_TOL, "hermiticity defect {:.3e}", herm),
         (tr_err > 10 * TRACE_DRIFT_TOL, "trace drift {:.3e}", tr_err),
@@ -407,7 +452,7 @@ def _first_bad_sample(rho: np.ndarray) -> tuple[int, str] | None:
     if failing.size:
         k = int(failing[0])
         return k, ", ".join(message.format(value[k]) for bad, message, value in checks if bad[k])
-    return None if n == len(rho) else (n, "state is not finite")
+    return None if n == len(x) else (n, "state is not finite")
 
 
 def invariant_support(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -426,6 +471,88 @@ def invariant_support(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
         reach = grown
 
 
+def trajectory(
+    rho0: DensityMatrix,
+    liouvillian: Liouvillian,
+    t_final: float,
+    samples: int,
+    dt_max: float = 0.01,
+) -> list[DensityMatrix]:
+    """States at t_final * i / samples for i = 0..samples, from one fixed-step RK4 propagation.
+
+    Integrates d vec(rho)/dt = L vec(rho) from ``rho0``; each of the
+    ``samples`` output intervals takes the same whole number of uniform
+    steps h no larger than ``dt_max``. L is linear, so one RK4 step is the
+    matrix P = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, and n steps are
+    P^n. P acts on the invariant support of vec(rho0) only, which is exact
+    (26 of the chain's 144 entries for the maximally mixed state at the
+    shipped operating points). Within each interval the state is checked
+    every ``max(1, steps // 200)`` steps and at the interval's end, as
+    ``evolve`` over that interval alone would check it. The first
+    interval's checked states come from P powered to that stride, and each
+    later interval's from the previous ones times P^steps; one interval is
+    checked at a time. A breach raises IntegrationError naming the first
+    failing state's time since ``rho0`` and every check it fails (typically
+    an unstable step size).
+
+    Each output state must keep its trace within ``TRACE_DRIFT_TOL`` of 1
+    since ``rho0``; it is then Hermitized, renormalized and validated as a
+    ``DensityMatrix``. The propagation itself is never renormalized. The
+    first output is ``rho0``.
+    """
+    if t_final <= 0:
+        raise ValueError("t_final must be positive")
+    if dt_max <= 0:
+        raise ValueError("dt_max must be positive")
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    if rho0.dim != liouvillian.dim:
+        raise ValueError(f"state dimension {rho0.dim} does not match generator dimension {liouvillian.dim}")
+    steps = max(1, math.ceil(t_final / samples / dt_max))
+    dt = t_final / samples / steps
+    v0 = vec(rho0.mat).astype(complex)
+    support = StateSupport(invariant_support(liouvillian.matrix, v0), rho0.dim)
+    hl = dt * liouvillian.matrix[np.ix_(support.index, support.index)]
+    eye = np.eye(len(support.index))
+    step = eye + hl @ (eye + (hl / 2) @ (eye + (hl / 3) @ (eye + hl / 4)))
+
+    check_every = max(1, steps // 200)
+    check_steps = [*range(check_every, steps, check_every), steps]  # the last stride may be shorter
+    v = v0[support.index]
+    checked = []
+    # an unstable step overflows to inf and then NaN; the checks report where it began
+    with np.errstate(over="ignore", invalid="ignore"):
+        stride = np.linalg.matrix_power(step, check_every)
+        last = np.linalg.matrix_power(step, steps - check_every * (len(check_steps) - 1))
+        for _ in check_steps[:-1]:
+            v = stride @ v
+            checked.append(v)
+        checked.append(last @ v)
+        checked = np.array(checked)
+        to_next = np.linalg.matrix_power(step, steps).T if samples > 1 else None  # one interval on
+
+    states = [rho0]
+    for i in range(samples):
+        if i > 0:
+            with np.errstate(over="ignore", invalid="ignore"):
+                checked = checked @ to_next
+        failed = _first_bad_sample(checked, support)
+        if failed is not None:
+            k, problem = failed
+            raise IntegrationError(
+                f"integration failed at t={(i * steps + check_steps[k]) * dt:.4g}: {problem}; try a smaller dt_max"
+            )
+        full = np.zeros(v0.size, dtype=complex)
+        full[support.index] = checked[-1]
+        rho = unvec(full)
+        drift = abs(np.trace(rho) - 1.0)
+        if drift > TRACE_DRIFT_TOL:
+            raise IntegrationError(f"trace drifted by {drift:.3e} over the run; try a smaller dt_max")
+        rho = 0.5 * (rho + rho.conj().T)
+        states.append(DensityMatrix(rho / np.trace(rho).real))
+    return states
+
+
 def evolve(
     rho0: DensityMatrix,
     liouvillian: Liouvillian,
@@ -435,55 +562,12 @@ def evolve(
     """Classical fixed-step RK4 integration of the master equation, as a step propagator.
 
     Integrates d vec(rho)/dt = L vec(rho) from ``rho0`` to ``t_final`` with a
-    uniform step h no larger than ``dt_max``. L is linear, so one RK4 step
-    is the matrix P = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, and n steps
-    are P^n. P acts on the invariant support of vec(rho0) only, which is
-    exact (26 of the chain's 144 entries for the maximally mixed state at
-    the shipped operating points). The state is checked every
-    ``max(1, steps // 200)`` steps and after the last one; P powered to
-    that stride gives the sample states, and they are checked in one
-    batch. A breach raises IntegrationError naming the first failing
-    sample's time (typically an unstable step size).
+    uniform step h no larger than ``dt_max``: ``trajectory`` with one output
+    interval. One RK4 step is the matrix P = I + hL + (hL)^2/2 + (hL)^3/6 +
+    (hL)^4/24 on the invariant support of vec(rho0), and n steps are P^n.
+    The state is checked every ``max(1, steps // 200)`` steps and after the
+    last one; P powered to that stride gives the sample states, and they
+    are checked in one batch. A breach raises IntegrationError naming the
+    first failing sample's time (typically an unstable step size).
     """
-    if t_final <= 0:
-        raise ValueError("t_final must be positive")
-    if dt_max <= 0:
-        raise ValueError("dt_max must be positive")
-    if rho0.dim != liouvillian.dim:
-        raise ValueError(f"state dimension {rho0.dim} does not match generator dimension {liouvillian.dim}")
-    steps = max(1, math.ceil(t_final / dt_max))
-    dt = t_final / steps
-    v0 = vec(rho0.mat).astype(complex)
-    support = invariant_support(liouvillian.matrix, v0)
-    hl = dt * liouvillian.matrix[np.ix_(support, support)]
-    eye = np.eye(len(support))
-    step = eye + hl @ (eye + (hl / 2) @ (eye + (hl / 3) @ (eye + hl / 4)))
-
-    check_every = max(1, steps // 200)
-    sample_steps = [*range(check_every, steps, check_every), steps]  # the last stride may be shorter
-    v = v0[support]
-    samples = []
-    # an unstable step overflows to inf and then NaN; the checks report where it began
-    with np.errstate(over="ignore", invalid="ignore"):
-        stride = np.linalg.matrix_power(step, check_every)
-        last = np.linalg.matrix_power(step, steps - check_every * (len(sample_steps) - 1))
-        for _ in sample_steps[:-1]:
-            v = stride @ v
-            samples.append(v)
-        samples.append(last @ v)
-    full = np.zeros((len(samples), v0.size), dtype=complex)
-    full[:, support] = samples
-    states = unvec(full)
-    failed = _first_bad_sample(states)
-    if failed is not None:
-        k, problem = failed
-        raise IntegrationError(
-            f"integration failed at t={sample_steps[k] * dt:.4g}: {problem}; try a smaller dt_max"
-        )
-    rho = states[-1]
-    drift = abs(np.trace(rho) - 1.0)
-    if drift > TRACE_DRIFT_TOL:
-        raise IntegrationError(f"trace drifted by {drift:.3e} over the run; try a smaller dt_max")
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.trace(rho).real
-    return DensityMatrix(rho)
+    return trajectory(rho0, liouvillian, t_final, 1, dt_max)[-1]

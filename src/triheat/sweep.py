@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .config import SweepSpec
-from .model import SystemParams
+from .model import BATHS, SystemParams
 from .solvers import CHUNK, PointSolve, steady_states
 
 # The per-point path is no longer called here. perfbench's tracer wraps these
@@ -28,6 +28,8 @@ from .model import bath_channels, total_hamiltonian  # noqa: F401
 from .solvers import steady_state  # noqa: F401
 
 PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(SystemParams))
+# The SweepRow fields written after the parameters: one current per bath, then the residual.
+RESULT_COLUMNS = (*BATHS, "residual")
 STATUS_OK = "ok"
 STATUS_FAILED = "solver_failed"
 
@@ -92,7 +94,7 @@ def run_sweep(spec: SweepSpec, tol: float = 1e-10, threads: int = 1) -> list[Swe
 
 
 def csv_columns(spec: SweepSpec) -> list[str]:
-    return list(PARAM_FIELDS) + ["j_l", "j_m", "j_r", "residual"] + [c.name for c in spec.derived] + ["status"]
+    return list(PARAM_FIELDS) + list(RESULT_COLUMNS) + [c.name for c in spec.derived] + ["status"]
 
 
 def _fmt(value: float) -> str:
@@ -109,7 +111,7 @@ def emit_csv(rows: list[SweepRow], spec: SweepSpec, path: str | Path) -> None:
             writer.writerow(csv_columns(spec))
             for row in rows:
                 record = [_fmt(getattr(row.params, f)) for f in PARAM_FIELDS]
-                record += [_fmt(row.j_l), _fmt(row.j_m), _fmt(row.j_r), _fmt(row.residual)]
+                record += [_fmt(getattr(row, c)) for c in RESULT_COLUMNS]
                 record += [_fmt(row.derived[c.name]) for c in spec.derived]
                 record.append(row.status)
                 writer.writerow(record)
@@ -121,7 +123,7 @@ def row_value(row: SweepRow, column: str) -> float:
     """Look up a plottable column (parameter, current, residual, or derived)."""
     if column in PARAM_FIELDS:
         return float(getattr(row.params, column))
-    if column in ("j_l", "j_m", "j_r", "residual"):
+    if column in RESULT_COLUMNS:
         return float(getattr(row, column))
     if column in row.derived:
         return row.derived[column]

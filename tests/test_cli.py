@@ -1,9 +1,12 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from triheat import DensityMatrix, bath_channels, build_superoperator, evolve, load_params, total_hamiltonian
 from triheat.cli import cli_main, main
+from triheat.observables import bath_currents
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -119,6 +122,27 @@ class TestEvolve:
         assert len(lines) == 12  # header + 11 samples (t=0 included)
         last = [float(x) for x in lines[-1].split(",")]
         assert last[0] == pytest.approx(50.0)
+
+    def test_trace_matches_one_evolve_call_per_sample(self, tmp_path, capsys):
+        cfg = SCRIPTS / "transfer_curve.cfg"
+        out = tmp_path / "trace.csv"
+        assert cli_main(["evolve", "--config", str(cfg), "--out", str(out), "--t-final", "200"]) == 0
+        rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+        # reference: the command as a loop of evolve calls, each from the last returned state
+        params = load_params(cfg)
+        h, channels = total_hamiltonian(params), bath_channels(params)
+        liou = build_superoperator(h, channels)
+        times = np.linspace(0.0, 200.0, 101)
+        state = DensityMatrix.maximally_mixed(12)
+        expected = []
+        for i, t in enumerate(times):
+            if i > 0:
+                state = evolve(state, liou, float(times[i] - times[i - 1]))
+            cur = bath_currents(h, channels, state.mat)
+            expected.append([cur.j_l, cur.j_m, cur.j_r])
+        assert [r[0] for r in rows] == [format(t, ".17g") for t in times]
+        got = np.array([[float(v) for v in r[1:]] for r in rows])
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_rejects_bad_horizon(self, point_cfg, tmp_path, capsys):
         code = cli_main([

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -19,10 +20,23 @@ from triheat import (
     steady_states,
     total_hamiltonian,
     trace_distance,
+    trajectory,
     unvec,
     vec,
 )
-from triheat.solvers import DEGENERACY_TOL, block_engine, generator_coefficients, invariant_support
+from triheat import solvers
+from triheat.solvers import (
+    DEGENERACY_TOL,
+    EIG_FLOOR,
+    HERM_TOL,
+    TRACE_DRIFT_TOL,
+    StateSupport,
+    _first_bad_sample,
+    _state_defects,
+    block_engine,
+    generator_coefficients,
+    invariant_support,
+)
 from conftest import TRANSFER_PARAMS, product_gibbs, random_density, solve
 
 QUBIT_LOWER = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -241,6 +255,173 @@ class TestEvolve:
             rho0 = DensityMatrix(random_density(rng, 12))
             out = evolve(rho0, liou, t_final=20.0, dt_max=0.01)
             assert np.linalg.eigvalsh(out.mat).min() >= -1e-10
+
+
+def evolve_loop(rho0, liou, t_final, samples, dt_max):
+    """Reference: one ``evolve`` call per output interval, each from the last returned state.
+
+    The intervals are the differences of ``np.linspace(0, t_final, samples + 1)``.
+    On a failure, returns the interval's start time and the error instead.
+    """
+    times = np.linspace(0.0, t_final, samples + 1)
+    states = [DensityMatrix(rho0) if isinstance(rho0, np.ndarray) else rho0]
+    for start, end in zip(times[:-1], times[1:]):
+        try:
+            states.append(evolve(states[-1], liou, float(end - start), dt_max))
+        except IntegrationError as exc:
+            return float(start), exc
+    return states
+
+
+def first_bad_full(rho):
+    """Reference: the mid-integration checks on a stack of full matrices."""
+    finite = np.isfinite(rho).all(axis=(-2, -1))
+    n = len(rho) if finite.all() else int(np.argmin(finite))
+    herm, tr_err, min_eig = _state_defects(rho[:n])
+    checks = (
+        (herm > 10 * HERM_TOL, "hermiticity defect {:.3e}", herm),
+        (tr_err > 10 * TRACE_DRIFT_TOL, "trace drift {:.3e}", tr_err),
+        (min_eig < 10 * EIG_FLOOR, "negative eigenvalue {:.3e}", min_eig),
+    )
+    failing = np.flatnonzero(np.logical_or.reduce([bad for bad, _, _ in checks]))
+    if failing.size:
+        k = int(failing[0])
+        return k, ", ".join(message.format(value[k]) for bad, message, value in checks if bad[k])
+    return None if n == len(rho) else (n, "state is not finite")
+
+
+def block_diagonal_states(rng, components, count):
+    """Random unit-trace states, block-diagonal over ``components`` (lists of levels), zero elsewhere."""
+    states = np.zeros((count, 12, 12), dtype=complex)
+    for n in range(count):
+        for levels in components:
+            states[n][np.ix_(levels, levels)] = random_density(rng, len(levels)) * rng.uniform(0.5, 1.5)
+        states[n] /= np.trace(states[n]).real
+    return states
+
+
+class TestTrajectory:
+    @pytest.mark.parametrize("case", ["mixed", "random"])
+    def test_matches_a_loop_of_evolve_calls(self, rng, case):
+        liou = transfer_liouvillian()
+        rho0 = np.eye(12, dtype=complex) / 12 if case == "mixed" else random_density(rng, 12)
+        # 20 intervals of 2.0 at dt_max 0.01: 200 steps each, every one checked
+        reference = evolve_loop(rho0, liou, 40.0, 20, 0.01)
+        states = trajectory(DensityMatrix(rho0), liou, 40.0, 20, 0.01)
+        assert len(states) == 21 and np.array_equal(states[0].mat, rho0)
+        assert max(np.max(np.abs(a.mat - b.mat)) for a, b in zip(states, reference)) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["random", "mixed"])
+    def test_one_interval_matches_explicit_rk4_steps(self, rng, case):
+        liou = transfer_liouvillian()
+        rho0 = random_density(rng, 12) if case == "random" else np.eye(12, dtype=complex) / 12
+        reference, _ = rk4_loop(rho0, liou, 30.5, 0.05)
+        first, last = trajectory(DensityMatrix(rho0), liou, 30.5, 1, 0.05)
+        assert np.array_equal(first.mat, rho0)
+        assert np.max(np.abs(last.mat - reference)) <= 1e-12
+
+    @pytest.mark.parametrize("interval, start", [(8.0, 192.0), (12.0, 12.0)])
+    def test_blow_up_in_a_later_interval_matches_the_loop(self, interval, start):
+        # The coherent mixture breaks positivity within the first step at
+        # every unstable step size, so only the maximally mixed start has
+        # its first failure after the first interval. One step per interval.
+        liou = transfer_liouvillian()
+        mixed = DensityMatrix.maximally_mixed(12)
+        failed_at, loop_error = evolve_loop(mixed, liou, 40 * interval, 40, dt_max=20.0)
+        assert failed_at == start
+        # the loop's times count from its interval's start, trajectory's from rho0
+        expected = re.sub(r"t=(\S+):", lambda m: f"t={failed_at + float(m.group(1)):.4g}:", str(loop_error))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(IntegrationError) as exc:
+                trajectory(mixed, liou, 40 * interval, 40, dt_max=20.0)
+        assert str(exc.value) == expected
+        assert "negative eigenvalue" in expected
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_checks_each_interval_at_the_evolve_cadence(self, monkeypatch):
+        checked = []
+
+        def counting(x, support):
+            checked.append(len(x))
+            return _first_bad_sample(x, support)
+
+        monkeypatch.setattr(solvers, "_first_bad_sample", counting)
+        liou = transfer_liouvillian()
+        # one interval of 9.05 at dt_max 0.01 is 905 steps, checked every 4 steps and after the last
+        evolve(DensityMatrix.maximally_mixed(12), liou, 9.05, 0.01)
+        assert checked == [len(range(4, 905, 4)) + 1] == [227]
+        checked.clear()
+        trajectory(DensityMatrix.maximally_mixed(12), liou, 3 * 9.05, 3, 0.01)
+        assert checked == [227] * 3
+
+    def test_argument_validation(self):
+        liou = single_qubit_liouvillian()
+        mm = DensityMatrix.maximally_mixed(2)
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            trajectory(mm, liou, 1.0, 0)
+        with pytest.raises(ValueError, match="t_final must be positive"):
+            trajectory(mm, liou, 0.0, 3)
+
+
+class TestStateSupport:
+    def test_maximally_mixed_blocks(self):
+        support = StateSupport(invariant_support(transfer_liouvillian().matrix, vec(np.eye(12))), 12)
+        assert len(support.index) == 26
+        assert sorted(b.shape[1] for b in support.blocks for _ in b) == [1, 1, 1, 1, 2, 3, 3]
+
+    @pytest.mark.parametrize("layout", ["mixed-support", "partial-cover"])
+    def test_checks_match_the_full_matrix_form(self, rng, layout):
+        if layout == "mixed-support":
+            # the maximally mixed start's support: single-excitation exchanges link levels
+            components = [[0], [1, 2, 6], [3, 7, 8], [4], [5, 10], [9], [11]]
+        else:  # levels 2, 6 and 9 are never touched: zero rows, eigenvalue 0
+            components = [[0, 5, 11], [1], [3, 4, 7, 8], [10]]
+        pattern = np.zeros((12, 12), dtype=bool)
+        for levels in components:
+            pattern[np.ix_(levels, levels)] = True
+        support = StateSupport(np.flatnonzero(vec(pattern)), 12)
+        if layout == "mixed-support":
+            mixed = StateSupport(invariant_support(transfer_liouvillian().matrix, vec(np.eye(12))), 12)
+            assert np.array_equal(support.index, mixed.index)
+
+        def compare(states):
+            x = vec_stack(states)[:, support.index]
+            assert _first_bad_sample(x, support) == first_bad_full(states)
+            return _first_bad_sample(x, support)
+
+        states = block_diagonal_states(rng, components, 40)
+        assert compare(states) is None
+        # a level no entry touches is a zero row, so an eigenvalue 0 of the full matrix
+        for ours, full in zip(support.defects(vec_stack(states)[:, support.index]), _state_defects(states)):
+            np.testing.assert_allclose(ours, full, rtol=0, atol=1e-14)
+        for k in (0, 17, 39):
+            bad = states.copy()
+            # a negative eigenvalue in one block, with the trace kept by another
+            levels, other = components[2], components[0][0]
+            w, u = np.linalg.eigh(bad[k][np.ix_(levels, levels)])
+            shift = w[0] + 1e-6
+            bad[k][np.ix_(levels, levels)] -= shift * (u[:, :1] @ u[:, :1].conj().T)
+            bad[k][other, other] += shift
+            result = compare(bad)
+            assert result[0] == k and result[1].startswith("negative eigenvalue -")
+        bad = states.copy()
+        a, b = components[2][0], components[2][-1]
+        bad[5][a, b] += 1e-9  # its partner entry does not move
+        bad[9][b, b] += 1e-6
+        bad[11] *= 1.0 + 1e-5
+        assert compare(bad) == (5, f"hermiticity defect {1e-9:.3e}")
+        bad[5] = states[5]
+        assert compare(bad)[0] == 9 and "trace drift" in compare(bad)[1]
+        bad[9] = states[9]
+        assert compare(bad)[0] == 11
+        bad[3][a, a] = np.nan
+        assert compare(bad) == (3, "state is not finite")
+
+
+def vec_stack(states):
+    """Column-stacked vectors of a stack of matrices."""
+    return np.swapaxes(states, -1, -2).reshape(len(states), -1)
 
 
 class TestSolverAgreement:

@@ -8,10 +8,13 @@ import pytest
 import triheat.sweep
 from triheat import ConfigError, SweepAxis, SweepSpec, load_params, load_sweep, steady_states
 from triheat.sweep import (
+    PARAM_FIELDS,
+    RESULT_COLUMNS,
     SweepRow,
     csv_columns,
     emit_csv,
     grid_points,
+    row_value,
     run_sweep,
 )
 from triheat.svgplot import emit_plot, plot_style
@@ -241,6 +244,15 @@ class TestEmitCsv:
         assert header == csv_columns(spec)
         assert header[-1] == "status"
         assert header[-3:-1] == ["dT_MR", "dT_RL"]
+
+    def test_result_columns_are_the_bath_currents_and_residual(self, sweep_cfg):
+        # one table feeds the header, the written values and row_value, in SweepRow's field order
+        spec = load_sweep(sweep_cfg)
+        assert RESULT_COLUMNS == ("j_l", "j_m", "j_r", "residual")
+        assert [f.name for f in dataclasses.fields(SweepRow)][1:5] == list(RESULT_COLUMNS)
+        assert csv_columns(spec)[len(PARAM_FIELDS): len(PARAM_FIELDS) + 4] == list(RESULT_COLUMNS)
+        row = run_sweep(spec)[0]
+        assert [row_value(row, c) for c in RESULT_COLUMNS] == [row.j_l, row.j_m, row.j_r, row.residual]
 
     def test_round_trip_bit_exact(self, sweep_cfg, tmp_path):
         spec = load_sweep(sweep_cfg)
