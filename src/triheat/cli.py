@@ -30,6 +30,7 @@ from .solvers import (
     DensityMatrix,
     IntegrationError,
     SteadyStateError,
+    block_eigenvalues,
     evolve,
     steady_state,
     steady_states,
@@ -163,7 +164,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     dist = trace_distance(free_result.state.mat, expected)
     report("uncoupled thermalization", dist <= 1e-10, f"trace distance {dist:.3e}")
 
-    ev = np.linalg.eigvals(liou.matrix)
+    ev = block_eigenvalues(liou.matrix)
     gap = -np.max(ev.real[np.abs(ev) > 1e-8])
     t_final = float(min(max(18.0 / gap, 200.0), 5e4))
     dt = float(min(0.05, 1.5 / np.max(np.abs(ev))))

@@ -16,17 +16,18 @@ the matrix itself against the operator form ``rhs_apply``.
 
 ``steady_states`` is the batched engine the sweeps and ``triheat steady``
 run on, with ``steady_state`` as its oracle. It uses two facts about the
-chain. H conserves the excitation number N = i + j + k of basis state
-(i*3 + j)*2 + k and every jump changes N by one, so the generator is
-block-diagonal in the coherence order N(a) - N(b) of the entry rho[a, b]
-(a weak U(1) symmetry). The blocks of orders 0..4 have 36, 30, 17, 6 and 1
-rows, the order -q block has the singular values of the +q block, and the
-steady state lives in the order-0 block. The generator is also affine in
-the parameters: L(p) = sum_c coef_c(p) * S_c over 14 fixed terms, the six
-Hamiltonian terms and kappa*(n+1), kappa*n for each of the four channels.
-So a chunk of points is assembled with one matrix product and its null
-vectors come from one batched solve, and every check ``steady_state``
-makes is kept per point with the same bound.
+chain. The generator is affine in the parameters: L(p) = sum_c coef_c(p) *
+S_c over 14 fixed terms, the six Hamiltonian terms and kappa*(n+1), kappa*n
+for each of the four channels. And the terms share a sparse nonzero
+pattern: its connected components split the 144 entries of vec(rho) into
+19 blocks that no coefficient can couple. One block of 26 entries holds
+every population and so the steady state; the other 18 are nine pairs of
+transpose mirrors (rho[a, b] and rho[b, a]) with equal singular values, of
+which one each is kept. Each block lies inside one coherence order
+N(a) - N(b), the excitation-number symmetry the chain's H and jumps
+respect. So a chunk of points is assembled with one matrix product, its
+null vectors come from one batched solve on the 26-row block, and every
+check ``steady_state`` makes is kept per point with the same bound.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .model import (
     BATHS,
     CHANNEL_LABELS,
     DIM,
-    DIMS,
     HAMILTONIAN_FIELDS,
     SystemParams,
     channel_constants,
@@ -215,33 +215,72 @@ def generator_coefficients(p: SystemParams) -> list[float]:
     return coef
 
 
+def connected_components(link: np.ndarray) -> list[np.ndarray]:
+    """The connected components of the graph whose edges are the True entries of a square link matrix.
+
+    An edge joins i and j when link[i, j] or link[j, i]. Each component is
+    an ascending index array, and they come in the order of their lowest
+    index; an index with no edge is a component of its own.
+    """
+    link = link | link.T
+    label = np.arange(len(link))
+    while True:  # each index takes the lowest label among its neighbours until none changes
+        lowest = np.minimum(label, np.where(link, label, len(link)).min(axis=1))
+        if np.array_equal(lowest, label):
+            break
+        label = lowest
+    return [np.flatnonzero(label == root) for root in np.flatnonzero(label == np.arange(len(link)))]
+
+
+def block_eigenvalues(matrix: np.ndarray) -> np.ndarray:
+    """The eigenvalues of a square matrix, taken block by block over the connected components of its nonzero pattern."""
+    return np.concatenate([
+        np.linalg.eigvals(matrix[np.ix_(idx, idx)]) for idx in connected_components(matrix != 0)
+    ])
+
+
 class BlockEngine:
-    """The chain's generator as coherence-order blocks of 14 fixed terms.
+    """The chain's generator as the exact blocks of 14 fixed terms.
 
     Term c is the c-th Hamiltonian term's commutator for c < 6, then the
-    dissipators of each channel's jump and of its adjoint. Only orders
-    0..4 are kept: the order -q block has the singular values of the +q one.
+    dissipators of each channel's jump and of its adjoint. The blocks are
+    the connected components of the entries that are nonzero in some term,
+    so no choice of coefficients couples two of them. L(rho^dagger) =
+    L(rho)^dagger takes each component to its transpose mirror, whose block
+    is the conjugate one with its entries reordered and so has the same
+    singular values; one component of each mirror pair is kept, and every
+    self-mirrored one. Block 0 is the null block, the one component that
+    holds every population (26 rows for the chain); the others have 19,
+    10, 10, 7, 5, 5, 1, 1 and 1 rows.
     """
 
     def __init__(self) -> None:
-        excitations = np.array([i + j + k for i in range(DIMS[0]) for j in range(DIMS[1]) for k in range(DIMS[2])])
-        row, col = (vec(m) for m in np.indices((DIM, DIM)))  # vec(rho)[v] = rho[row[v], col[v]]
-        order = excitations[row] - excitations[col]
-        self.index = [np.flatnonzero(order == q) for q in range(excitations.max() + 1)]
-        self.sizes = [len(idx) for idx in self.index]
-        self.bounds = np.cumsum([0] + [m * m for m in self.sizes])
         h_terms = hamiltonian_terms()
         jumps = jump_operators()
-        generators = (
-            *(hamiltonian_superoperator(h) for h in h_terms),
-            *(dissipator_superoperator(a) for jump in jumps for a in (jump, jump.conj().T)),
-        )
+
+        def generators():  # one 144x144 term alive at a time
+            yield from (hamiltonian_superoperator(h) for h in h_terms)
+            yield from (dissipator_superoperator(a) for jump in jumps for a in (jump, jump.conj().T))
+
+        pattern = np.zeros((DIM * DIM, DIM * DIM), dtype=bool)
+        for mat in generators():
+            pattern |= mat != 0
+        row, col = (vec(m) for m in np.indices((DIM, DIM)))  # vec(rho)[v] = rho[row[v], col[v]]
+        partner = vec(unvec(np.arange(DIM * DIM)).T)  # position of rho[b, a] for each entry rho[a, b]
+        # a component is kept unless its mirror starts at a lower index
+        kept = [c for c in connected_components(pattern) if partner[c].min() >= c[0]]
+        holding = [c for c in kept if (row[c] == col[c]).any()]
+        if len(holding) != 1:
+            raise RuntimeError(f"the generator terms split the {DIM} populations over {len(holding)} blocks")
+        self.index = holding + [c for c in kept if c is not holding[0]]
+        self.sizes = [len(idx) for idx in self.index]
+        self.bounds = np.cumsum([0] + [m * m for m in self.sizes])
         self.terms = np.empty((len(h_terms) + 2 * len(jumps), self.bounds[-1]), dtype=complex)
-        for c, mat in enumerate(generators):  # one 144x144 term alive at a time
+        for c, mat in enumerate(generators()):
             self.terms[c] = np.concatenate([mat[np.ix_(idx, idx)].ravel() for idx in self.index])
 
         idx0 = self.index[0]
-        # order 0 is closed under transposition, so every partner lies in the block
+        # the null block is its own mirror, so every partner lies in the block
         layout = StateSupport(idx0, DIM)
         self.diagonal, self.partner = layout.diagonal, layout.partner
         # J_P = -Tr(H D_P[rho]) = sum_c sum_{d in P} coef_c coef_d * currents[c, d] . x
@@ -256,7 +295,7 @@ class BlockEngine:
         ]
 
     def assemble(self, coef: np.ndarray) -> list[np.ndarray]:
-        """The (n, m, m) block stacks of orders 0..4 for an (n, 14) coefficient array."""
+        """The (n, m, m) stacks of the kept blocks, null block first, for an (n, 14) coefficient array."""
         # an infinite coefficient times a zero entry is NaN; solve_blocks fails that point alone
         with np.errstate(invalid="ignore", over="ignore"):
             flat = coef.astype(complex) @ self.terms
@@ -288,7 +327,7 @@ class BlockEngine:
             finite &= np.isfinite(b).all(axis=(1, 2))
         drop(~finite, "non_finite", lambda k: "generator has non-finite entries")
 
-        # The full generator's second-smallest singular value: the 0-block
+        # The full generator's second-smallest singular value: the null block
         # holds the null vector, and each other block's smallest counts.
         s0 = np.linalg.svd(blocks[0][alive], compute_uv=False)
         gap = s0[:, -2]
@@ -410,15 +449,10 @@ class StateSupport:
         where = unvec(where)  # where[a, b]: position of rho[a, b]
         self.partner = where[col, row]  # position of rho[b, a] for each entry rho[a, b]
         self.diagonal = np.flatnonzero(row == col)
-        link = np.eye(dim, dtype=bool)
-        link[row, col] = link[col, row] = True
-        while not np.array_equal(grown := link @ link, link):  # link[a, b]: a and b share a component
-            link = grown
+        link = np.zeros((dim, dim), dtype=bool)
+        link[row, col] = True
         by_size: dict[int, list[np.ndarray]] = {}
-        for level, component in enumerate(link):
-            levels = np.flatnonzero(component)
-            if levels[0] != level:  # each component is taken at its lowest level
-                continue
+        for levels in connected_components(link):
             by_size.setdefault(len(levels), []).append(where[np.ix_(levels, levels)])
         self.blocks = [np.array(gathers) for gathers in by_size.values()]  # (count, k, k) positions each
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from triheat import DensityMatrix, bath_channels, build_superoperator, evolve, load_params, total_hamiltonian
+from triheat import solvers
 from triheat.cli import cli_main, main
 from triheat.observables import bath_currents
 
@@ -171,6 +172,14 @@ class TestCheck:
     def test_with_config(self, point_cfg, capsys):
         assert cli_main(["check", "--config", str(point_cfg)]) == 0
         assert "solver agreement" in capsys.readouterr().out
+
+    def test_does_not_build_the_block_engine(self, monkeypatch, capsys):
+        # check runs the SVD oracle and takes the spectrum block by block
+        def refuse():
+            raise AssertionError("check built the block engine")
+
+        monkeypatch.setattr(solvers, "block_engine", refuse)
+        assert cli_main(["check"]) == 0
 
     def test_non_finite_parameter_is_named(self, tmp_path, capsys):
         text = (SCRIPTS / "transfer_curve.cfg").read_text(encoding="utf-8")

@@ -25,6 +25,7 @@ from triheat import (
     vec,
 )
 from triheat import solvers
+from triheat.cli import DEFAULT_PARAMS
 from triheat.solvers import (
     DEGENERACY_TOL,
     EIG_FLOOR,
@@ -33,7 +34,9 @@ from triheat.solvers import (
     StateSupport,
     _first_bad_sample,
     _state_defects,
+    block_eigenvalues,
     block_engine,
+    connected_components,
     generator_coefficients,
     invariant_support,
 )
@@ -524,19 +527,57 @@ class TestBlockEngine:
     def test_affine_blocks_match_the_generator(self):
         engine = block_engine()
         order = coherence_orders()
+        v = np.arange(144)
+        transpose = v // 12 + 12 * (v % 12)  # position of rho[b, a] for each entry rho[a, b]
+        mirrors = [np.sort(transpose[idx]) for idx in engine.index]
+        # the kept components and the mirrors not kept partition the 144 entries
+        components = engine.index + [m for m, idx in zip(mirrors, engine.index) if not np.array_equal(m, idx)]
+        assert np.array_equal(np.sort(np.concatenate(components)), v)
+        assert sorted(engine.sizes) == [1, 1, 1, 5, 5, 7, 10, 10, 19, 26]
+        label = np.empty(144, dtype=int)
+        for k, idx in enumerate(components):
+            label[idx] = k
+            # the physics cross-check: each component lies inside one coherence order
+            assert np.all(order[idx] == order[idx[0]])
+        # the null block is the maximally mixed state's invariant support
+        mixed = invariant_support(transfer_liouvillian().matrix, vec(np.eye(12)))
+        assert len(mixed) == 26 and np.array_equal(engine.index[0], mixed)
         for p in seeded_points(count=8):
             full = build_superoperator(total_hamiltonian(p), bath_channels(p)).matrix
-            # no coupling between coherence orders, exactly
-            assert np.all(full[order[:, None] != order[None, :]] == 0)
+            # no coupling between components, exactly
+            assert np.all(full[label[:, None] != label[None, :]] == 0)
             blocks = engine.assemble(np.array([generator_coefficients(p)]))
-            for q, block in enumerate(blocks):
-                idx = np.flatnonzero(order == q)
+            assert len(blocks) == len(engine.index)
+            for block, idx, mirror in zip(blocks, engine.index, mirrors):
                 assert np.max(np.abs(block[0] - full[np.ix_(idx, idx)])) <= 1e-14
-                mirror = np.flatnonzero(order == -q)
                 np.testing.assert_allclose(
                     np.linalg.svd(full[np.ix_(mirror, mirror)], compute_uv=False),
                     np.linalg.svd(block[0], compute_uv=False), rtol=1e-10, atol=1e-15,
                 )
+
+    def test_every_block_counts_in_the_gap(self):
+        # one point's block scaled until its smallest relevant singular value
+        # (the second-smallest for the null block) is below the bound
+        engine = block_engine()
+        points = seeded_points(count=5)
+        coef = np.array([generator_coefficients(p) for p in points])
+        reference = steady_states(points)
+        for b in range(len(engine.index)):
+            blocks = engine.assemble(coef)
+            s = np.linalg.svd(blocks[b][2], compute_uv=False)
+            blocks[b][2] *= 0.5 * DEGENERACY_TOL / s[-2 if b == 0 else -1]
+            solved = engine.solve_blocks(blocks, coef, tol=1e-10)
+            assert solved[2].error is not None and solved[2].error.reason == "non_unique", b
+            for k in (0, 1, 3, 4):
+                assert solved[k].error is None, b
+                assert solved[k].currents == reference[k].currents, b
+
+    def test_split_populations_fail_at_build(self, monkeypatch):
+        # without jumps only the two exchange terms link populations: the
+        # 0/1 exchanges of equal excitation number, and no qutrit level 2
+        monkeypatch.setattr(solvers, "jump_operators", lambda: [])
+        with pytest.raises(RuntimeError, match="^the generator terms split the 12 populations over 8 blocks$"):
+            solvers.BlockEngine()
 
     def test_unreachable_tolerance_fails_every_point_with_residual(self):
         solved = steady_states(seeded_points(count=4), tol=1e-40)
@@ -581,3 +622,30 @@ class TestBlockEngine:
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(ValueError):
             steady_states([TRANSFER_PARAMS], tol=0.0)
+
+
+class TestConnectedComponents:
+    def test_hand_built_link(self):
+        link = np.zeros((8, 8), dtype=bool)
+        # one direction suffices, and a self-link changes nothing
+        for i, j in ((5, 0), (3, 5), (1, 6), (7, 7), (4, 7)):
+            link[i, j] = True
+        components = connected_components(link)
+        assert [c.tolist() for c in components] == [[0, 3, 5], [1, 6], [2], [4, 7]]
+
+
+class TestBlockEigenvalues:
+    @pytest.mark.parametrize("case", ["default", "transfer", "uncoupled"])
+    def test_gap_and_radius_match_the_full_spectrum(self, case):
+        p = {"default": DEFAULT_PARAMS, "transfer": TRANSFER_PARAMS,
+             "uncoupled": dataclasses.replace(TRANSFER_PARAMS, g_lm=0.0, g_mr=0.0)}[case]
+        matrix = build_superoperator(total_hamiltonian(p), bath_channels(p)).matrix
+        ours, full = block_eigenvalues(matrix), np.linalg.eigvals(matrix)
+        assert len(ours) == 144
+        gaps = [-np.max(ev.real[np.abs(ev) > 1e-8]) for ev in (ours, full)]
+        radii = [np.max(np.abs(ev)) for ev in (ours, full)]
+        assert gaps[0] == pytest.approx(gaps[1], rel=1e-10)
+        assert radii[0] == pytest.approx(radii[1], rel=1e-10)
+        # the uncoupled chain's pattern splits further than the coupled one's
+        count = len(connected_components(matrix != 0))
+        assert count > 19 if case == "uncoupled" else count == 19
