@@ -39,7 +39,7 @@ def heat_current(h: np.ndarray, channel_group: Sequence[BathChannel], rho: np.nd
         d = d + dissipator_apply(ch, rho)
     val = -np.trace(h @ d)
     if abs(val.imag) > IMAG_TOL:
-        raise RuntimeError(
+        raise ValueError(
             f"heat_current: imaginary residue {val.imag:.3e} exceeds {IMAG_TOL:.1e}; "
             "inputs are numerically inconsistent"
         )

@@ -63,6 +63,7 @@ HERM_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIG_FLOOR = -1e-10
 DEGENERACY_TOL = 1e-10
+RESIDUAL_TOL = 1e-10  # ||L vec(rho)|| of the trace-normalized steady state
 TRACE_DRIFT_TOL = 1e-9
 NULL_TRACE_FLOOR = 1e-8  # |trace| of the unit-norm null vector below this: no state
 BALANCE_TOL = 1e-10  # |J_L + J_M + J_R| <= BALANCE_TOL * max(1, max|J|)
@@ -144,17 +145,16 @@ def trace_distance(a: np.ndarray | DensityMatrix, b: np.ndarray | DensityMatrix)
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(ma - mb))))
 
 
-def steady_state(liouvillian: Liouvillian, tol: float = 1e-10) -> SteadyStateResult:
+def steady_state(liouvillian: Liouvillian) -> SteadyStateResult:
     """Unique stationary state as the null vector of the superoperator.
 
     The smallest right singular vector is reshaped, Hermitized and
-    trace-normalized. Raises SteadyStateError if the residual stays above
-    ``tol``, if the null space is degenerate (second singular value below
-    ``DEGENERACY_TOL``), or if the resulting state violates the density
-    matrix invariants.
+    trace-normalized. Raises SteadyStateError if the null space is
+    degenerate (second singular value below ``DEGENERACY_TOL``), if the
+    residual ||L vec(rho)|| is above ``RESIDUAL_TOL``, if the resulting
+    state violates the density matrix invariants, or if its currents do not
+    balance within ``BALANCE_TOL``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     _, s, vh = np.linalg.svd(liouvillian.matrix)
     if s[-2] < DEGENERACY_TOL:
         raise SteadyStateError(_NON_UNIQUE.format(s[-2]), "non_unique")
@@ -165,8 +165,8 @@ def steady_state(liouvillian: Liouvillian, tol: float = 1e-10) -> SteadyStateRes
         raise SteadyStateError(_ZERO_TRACE, "zero_trace")
     rho = rho / tr
     residual = float(np.linalg.norm(liouvillian.matrix @ vec(rho)))
-    if residual > tol:
-        raise SteadyStateError(_RESIDUAL.format(residual, tol), "residual")
+    if residual > RESIDUAL_TOL:
+        raise SteadyStateError(_RESIDUAL.format(residual, RESIDUAL_TOL), "residual")
     try:
         state = DensityMatrix(rho)
     except ValueError as exc:
@@ -180,7 +180,7 @@ def steady_state(liouvillian: Liouvillian, tol: float = 1e-10) -> SteadyStateRes
 
 _NON_UNIQUE = "non-unique steady state: second singular value {:.3e} below " + f"{DEGENERACY_TOL:.1e}"
 _ZERO_TRACE = "no steady state at tolerance: null vector has near-zero trace"
-_RESIDUAL = "no steady state at tolerance: residual {:.3e} > {:.1e}"
+_RESIDUAL = "no steady state at tolerance: residual {:.3e} > {:.1e}"  # RESIDUAL_TOL is formatted in on raise
 _INVALID_STATE = "steady state violates state invariants: "
 _UNBALANCED = "steady-state currents do not balance: sum {:.3e}"
 
@@ -304,7 +304,7 @@ class BlockEngine:
             for lo, hi, m in zip(self.bounds[:-1], self.bounds[1:], self.sizes)
         ]
 
-    def solve_blocks(self, blocks: list[np.ndarray], coef: np.ndarray, tol: float) -> list[PointSolve]:
+    def solve_blocks(self, blocks: list[np.ndarray], coef: np.ndarray) -> list[PointSolve]:
         """Steady states from assembled blocks; a point that fails any check fails alone.
 
         The checks and bounds are ``steady_state``'s, in its order. Each
@@ -357,8 +357,8 @@ class BlockEngine:
         x = x[keep] / tr[keep, None]
 
         residual = np.linalg.norm(np.einsum("nij,nj->ni", blocks[0][alive], x), axis=1)
-        keep = residual <= tol
-        drop(~keep, "residual", lambda k: _RESIDUAL.format(residual[k], tol))
+        keep = residual <= RESIDUAL_TOL
+        drop(~keep, "residual", lambda k: _RESIDUAL.format(residual[k], RESIDUAL_TOL))
         x = x[keep]
         residual = residual[keep]
 
@@ -412,20 +412,20 @@ def block_engine() -> BlockEngine:
     return BlockEngine()
 
 
-def steady_states(points: Sequence[SystemParams], tol: float = 1e-10) -> list[PointSolve]:
+def steady_states(points: Sequence[SystemParams]) -> list[PointSolve]:
     """Steady states of many points, solved in chunks of ``CHUNK`` by the block engine.
 
-    A point that fails a check gets a ``PointSolve`` whose ``error`` names
-    the check; the others are unaffected. ``steady_state`` is the reference.
+    The checks and bounds are ``steady_state``'s, the residual bound
+    ``RESIDUAL_TOL`` included. A point that fails a check gets a
+    ``PointSolve`` whose ``error`` names the check; the others are
+    unaffected. ``steady_state`` is the reference.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     engine = block_engine()
     out: list[PointSolve] = []
     for start in range(0, len(points), CHUNK):
         chunk = points[start: start + CHUNK]
         coef = np.array([generator_coefficients(p) for p in chunk])
-        out += engine.solve_blocks(engine.assemble(coef), coef, tol)
+        out += engine.solve_blocks(engine.assemble(coef), coef)
     return out
 
 
@@ -534,12 +534,14 @@ def trajectory(
     ``DensityMatrix``. The propagation itself is never renormalized. The
     first output is ``rho0``.
     """
-    if t_final <= 0:
-        raise ValueError("t_final must be positive")
-    if dt_max <= 0:
-        raise ValueError("dt_max must be positive")
+    if not t_final > 0:
+        raise ValueError(f"t_final must be positive, got {t_final}")
+    if not math.isfinite(t_final):
+        raise ValueError(f"t_final must be finite, got {t_final}")
+    if not dt_max > 0:
+        raise ValueError(f"dt_max must be positive, got {dt_max}")
     if samples < 1:
-        raise ValueError("samples must be at least 1")
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if rho0.dim != liouvillian.dim:
         raise ValueError(f"state dimension {rho0.dim} does not match generator dimension {liouvillian.dim}")
     steps = max(1, math.ceil(t_final / samples / dt_max))

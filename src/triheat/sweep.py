@@ -72,7 +72,7 @@ def _row(params: SystemParams, derived: dict[str, float], solved: PointSolve) ->
     return SweepRow(params, cur.j_l, cur.j_m, cur.j_r, solved.residual, derived, STATUS_OK)
 
 
-def run_sweep(spec: SweepSpec, tol: float = 1e-10, threads: int = 1) -> list[SweepRow]:
+def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
     """Evaluate the whole grid; output order is independent of thread count."""
     if threads < 1:
         raise ValueError("threads must be at least 1")
@@ -84,7 +84,7 @@ def run_sweep(spec: SweepSpec, tol: float = 1e-10, threads: int = 1) -> list[Swe
 
     def solve_chunk(start: int) -> list[SweepRow]:
         chunk = points[start: start + CHUNK]
-        return list(map(_row, chunk, derived[start: start + CHUNK], steady_states(chunk, tol)))
+        return list(map(_row, chunk, derived[start: start + CHUNK], steady_states(chunk)))
 
     starts = range(0, len(points), CHUNK)
     if threads == 1:

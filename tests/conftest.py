@@ -36,9 +36,9 @@ COUPLING_PARAMS = SystemParams(
 )
 
 
-def solve(params: SystemParams, tol: float = 1e-10) -> SteadyStateResult:
+def solve(params: SystemParams) -> SteadyStateResult:
     h = total_hamiltonian(params)
-    return steady_state(build_superoperator(h, bath_channels(params)), tol=tol)
+    return steady_state(build_superoperator(h, bath_channels(params)))
 
 
 def product_gibbs(params: SystemParams) -> np.ndarray:

@@ -48,7 +48,7 @@ def figure_grids():
     for name in GRID_NAMES:
         spec = load_sweep(SCRIPTS / f"{name}.cfg")
         start = time.perf_counter()
-        rows = run_sweep(spec, tol=1e-10, threads=1)
+        rows = run_sweep(spec, threads=1)
         grids[name] = (spec, rows, time.perf_counter() - start)
     return grids
 
@@ -85,7 +85,7 @@ def test_02_energy_conservation_on_all_grids(figure_grids):
 def test_03_solver_cross_validation():
     p = TRANSFER_PARAMS
     liou = build_superoperator(total_hamiltonian(p), bath_channels(p))
-    reference = steady_state(liou, tol=1e-10).state
+    reference = steady_state(liou).state
     evolved = evolve(DensityMatrix.maximally_mixed(12), liou, t_final=1e4, dt_max=0.05)
     dist = trace_distance(evolved, reference)
     assert verdict(3, "null-space vs time-evolution steady state",

@@ -152,6 +152,38 @@ class TestEvolve:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("t_final, message", [
+        ("inf", "t_final must be finite, got inf"),
+        ("nan", "t_final must be positive, got nan"),
+        ("0", "t_final must be positive, got 0.0"),
+    ], ids=["inf", "nan", "zero"])
+    def test_rejects_non_finite_or_zero_horizon(self, tmp_path, capsys, t_final, message):
+        code = cli_main([
+            "evolve", "--config", str(SCRIPTS / "transfer_curve.cfg"), "--out", str(tmp_path / "x.csv"),
+            "--t-final", t_final,
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_imaginary_current_residue_exits_with_reason(self, tmp_path, capsys):
+        # POINT_CFG's energies, couplings and temperatures times 3e5 (rates
+        # times 1e5): the currents' imaginary residue grows past IMAG_TOL
+        cfg = tmp_path / "scaled.cfg"
+        cfg.write_text(
+            "[energies]\ne1 = 3e5\ne2 = 3e5\ne3 = 9e5\ne4 = 3e5\n"
+            "[couplings]\ng_lm = 3e4\ng_mr = 3e4\n"
+            "[rates]\nkappa_l = 5e3\nkappa_m = 2e3\nkappa_r = 5e3\n"
+            "[temperatures]\nt_l = 6e5\nt_m = 3e4\nt_r = 1.5e5\n",
+            encoding="utf-8",
+        )
+        code = cli_main([
+            "evolve", "--config", str(cfg), "--out", str(tmp_path / "x.csv"),
+            "--t-final", "1e-4", "--dt-max", "1e-7", "--samples", "4",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: heat_current: imaginary residue") and "Traceback" not in err
+
     def test_unstable_step_exits_with_reason(self, tmp_path, capsys):
         code = cli_main([
             "evolve", "--config", str(SCRIPTS / "transfer_curve.cfg"), "--out", str(tmp_path / "x.csv"),
@@ -200,6 +232,18 @@ class TestUsage:
 
     def test_no_arguments(self, capsys):
         assert cli_main([]) == 2
+
+    @pytest.mark.parametrize("command", [
+        ["steady", "--config", str(SCRIPTS / "transfer_curve.cfg")],
+        ["sweep", "--config", str(SCRIPTS / "transfer_curve.cfg")],
+        ["check"],
+    ], ids=["steady", "sweep", "check"])
+    def test_residual_bound_is_not_an_option(self, tmp_path, monkeypatch, capsys, command):
+        # the bound is solvers.RESIDUAL_TOL; no flag sets it. A sweep that did
+        # run would write the config's relative outputs into tmp_path.
+        monkeypatch.chdir(tmp_path)
+        assert cli_main([*command, "--tol", "1e-10"]) == 2
+        assert "unrecognized arguments: --tol 1e-10" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0

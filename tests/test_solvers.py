@@ -108,11 +108,13 @@ class TestSteadyState:
         with pytest.raises(SteadyStateError, match="non-unique"):
             steady_state(liou)
 
-    def test_unreachable_tolerance_rejected(self):
+    def test_unreachable_tolerance_rejected(self, monkeypatch):
+        monkeypatch.setattr(solvers, "RESIDUAL_TOL", 1e-18)
         p = TRANSFER_PARAMS
         liou = build_superoperator(total_hamiltonian(p), bath_channels(p))
-        with pytest.raises(SteadyStateError, match="tolerance"):
-            steady_state(liou, tol=1e-18)
+        with pytest.raises(SteadyStateError, match=r"^no steady state at tolerance: residual .* > 1\.0e-18$") as exc:
+            steady_state(liou)
+        assert exc.value.reason == "residual"
 
     def test_unique_at_figure_operating_points(self):
         from conftest import COUPLING_PARAMS, OUTPUT_PARAMS
@@ -365,6 +367,12 @@ class TestTrajectory:
             trajectory(mm, liou, 1.0, 0)
         with pytest.raises(ValueError, match="t_final must be positive"):
             trajectory(mm, liou, 0.0, 3)
+        with pytest.raises(ValueError, match="^t_final must be finite, got inf$"):
+            trajectory(mm, liou, math.inf, 3)
+        with pytest.raises(ValueError, match="^t_final must be positive, got nan$"):
+            trajectory(mm, liou, math.nan, 3)
+        with pytest.raises(ValueError, match="^dt_max must be positive, got nan$"):
+            trajectory(mm, liou, 1.0, 3, math.nan)
 
 
 class TestStateSupport:
@@ -566,7 +574,7 @@ class TestBlockEngine:
             blocks = engine.assemble(coef)
             s = np.linalg.svd(blocks[b][2], compute_uv=False)
             blocks[b][2] *= 0.5 * DEGENERACY_TOL / s[-2 if b == 0 else -1]
-            solved = engine.solve_blocks(blocks, coef, tol=1e-10)
+            solved = engine.solve_blocks(blocks, coef)
             assert solved[2].error is not None and solved[2].error.reason == "non_unique", b
             for k in (0, 1, 3, 4):
                 assert solved[k].error is None, b
@@ -579,10 +587,11 @@ class TestBlockEngine:
         with pytest.raises(RuntimeError, match="^the generator terms split the 12 populations over 8 blocks$"):
             solvers.BlockEngine()
 
-    def test_unreachable_tolerance_fails_every_point_with_residual(self):
-        solved = steady_states(seeded_points(count=4), tol=1e-40)
+    def test_unreachable_tolerance_fails_every_point_with_residual(self, monkeypatch):
+        monkeypatch.setattr(solvers, "RESIDUAL_TOL", 1e-40)
+        solved = steady_states(seeded_points(count=4))
         assert [s.error.reason for s in solved] == ["residual"] * 4
-        with pytest.raises(SteadyStateError, match="residual"):
+        with pytest.raises(SteadyStateError, match=r"residual .* > 1\.0e-40$"):
             solved[0].result()
 
     @pytest.mark.parametrize("inject, reason", [("nan", "non_finite"), ("singular", "singular")])
@@ -598,7 +607,7 @@ class TestBlockEngine:
             # gap: the trace-pinned system is exactly singular
             m = blocks[0].shape[1]
             blocks[0][2] = np.diag([0.0 if k == m - 1 else 1.0 for k in range(m)])
-        solved = engine.solve_blocks(blocks, coef, tol=1e-10)
+        solved = engine.solve_blocks(blocks, coef)
         reference = steady_states(points)
         assert solved[2].error is not None and solved[2].error.reason == reason
         for k in (0, 1, 3, 4):
@@ -618,10 +627,6 @@ class TestBlockEngine:
         assert isinstance(result.state, DensityMatrix)
         assert result.currents == solved.currents
         assert trace_distance(result.state, solve(TRANSFER_PARAMS).state) <= 1e-10
-
-    def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(ValueError):
-            steady_states([TRANSFER_PARAMS], tol=0.0)
 
 
 class TestConnectedComponents:

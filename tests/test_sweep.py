@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import triheat.sweep
+from triheat import solvers
 from triheat import ConfigError, SweepAxis, SweepSpec, load_params, load_sweep, steady_states
 from triheat.sweep import (
     PARAM_FIELDS,
@@ -197,8 +198,8 @@ class TestGrid:
 class TestRunSweep:
     def test_identical_points_identical_rows(self):
         # the engine's batch of one, solved twice
-        (row_a,) = steady_states([TRANSFER_PARAMS], tol=1e-10)
-        (row_b,) = steady_states([TRANSFER_PARAMS], tol=1e-10)
+        (row_a,) = steady_states([TRANSFER_PARAMS])
+        (row_b,) = steady_states([TRANSFER_PARAMS])
         assert row_a.currents.j_l == row_b.currents.j_l
         assert row_a.currents.j_m == row_b.currents.j_m
         assert row_a.currents.j_r == row_b.currents.j_r
@@ -213,15 +214,16 @@ class TestRunSweep:
             assert a.j_l == b.j_l and a.j_m == b.j_m and a.j_r == b.j_r
             assert a.derived == b.derived and a.status == b.status
 
-    def test_failed_points_flagged_not_dropped(self, sweep_cfg, tmp_path, capsys):
+    def test_failed_points_flagged_not_dropped(self, sweep_cfg, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(solvers, "RESIDUAL_TOL", 1e-18)  # unreachable bound
         spec = load_sweep(sweep_cfg)
-        rows = run_sweep(spec, tol=1e-18)  # unreachable tolerance
+        rows = run_sweep(spec)
         assert len(rows) == 12
         assert all(r.status == "solver_failed" for r in rows)
         assert all(r.reason == "residual" for r in rows)
         assert all(math.isnan(r.j_l) for r in rows)
         out = tmp_path / "failed.csv"
-        assert cli_main(["sweep", "--config", str(sweep_cfg), "--out", str(out), "--tol", "1e-18"]) == 0
+        assert cli_main(["sweep", "--config", str(sweep_cfg), "--out", str(out)]) == 0
         assert "(12 failed points: residual 12)" in capsys.readouterr().out
 
     def test_derived_columns_evaluated(self, sweep_cfg):
