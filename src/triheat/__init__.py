@@ -5,8 +5,6 @@ from .lindblad import (
     Liouvillian,
     build_superoperator,
     dissipator_apply,
-    dissipator_superoperator,
-    hamiltonian_superoperator,
     occupation,
     rhs_apply,
     unvec,
@@ -30,6 +28,7 @@ from .solvers import (
     PointSolve,
     SteadyStateError,
     SteadyStateResult,
+    chain_liouvillian,
     evolve,
     steady_state,
     steady_states,

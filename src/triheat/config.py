@@ -129,7 +129,10 @@ def compile_derived(name: str, expression: str) -> DerivedColumn:
 
 def _read_ini(path: str | Path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(interpolation=None)
-    loaded = parser.read(path)
+    try:
+        loaded = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if not loaded:
         raise ConfigError(f"cannot read config file {path}")
     return parser

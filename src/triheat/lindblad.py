@@ -5,10 +5,17 @@ The density matrix evolves as
     drho/dt = -i[H, rho] + sum_P kappa_P ( n_B L[P^dag] rho + (n_B+1) L[P] rho )
 
 with L[A] rho = A rho A^dag - (1/2){A^dag A, rho} and n_B the Bose factor of
-the bath at the channel's transition energy. The matrix form acts on the
+the bath at the channel's transition energy. ``rhs_apply`` is this operator
+form, the reference for the matrix form. The matrix form acts on the
 column-stacked vectorization of rho: vec(A rho B) = (B^T kron A) vec(rho).
 The column-stacking convention is part of the contract; the row-stacked dual
 would silently transpose every sandwich term.
+
+The generator is affine in fixed terms, so every matrix is formed from one
+sparse table: ``superoperator_terms`` gives each term's values at the
+positions where some term is nonzero, ``generator_matrix`` scatters a
+coefficient vector times that table into the dense matrix, and
+``build_superoperator`` is that for one Hamiltonian and a list of channels.
 """
 
 from __future__ import annotations
@@ -85,24 +92,57 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return np.swapaxes(v.reshape(v.shape[:-1] + (dim, dim)), -1, -2)
 
 
-def hamiltonian_superoperator(h: np.ndarray) -> np.ndarray:
-    """Matrix of rho -> -i[H, rho] over column-stacked states."""
-    eye = np.eye(h.shape[0], dtype=complex)
-    return -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+def superoperator_terms(
+    hamiltonians: Sequence[np.ndarray], jumps: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices of generator terms over column-stacked states, as one sparse table.
+
+    The terms are -i[H, .] for each Hamiltonian, then L[A] and L[A^dag] for
+    each jump A. Each is a sum of Kronecker products x kron y of d x d
+    factors, whose entry (r, c) is x[r // d, c // d] * y[r % d, c % d]. The
+    entries are read that way from the factors, only where both factor
+    entries lie in the factors' joint nonzero pattern, so no d^2 x d^2 term
+    is formed. Returns ``(positions, values)``: the ascending flat positions
+    r * d^2 + c where some term is nonzero, and the (terms, positions) array
+    of each term's values there. Every jump must have the Hamiltonians' shape.
+    """
+    shape = hamiltonians[0].shape
+    for jump in jumps:
+        if jump.shape != shape:
+            raise ValueError(f"jump shape {jump.shape} does not match Hamiltonian shape {shape}")
+    d = shape[0]
+    eye = np.eye(d, dtype=complex)
+    ops = [op for jump in jumps for op in (jump, jump.conj().T)]  # the A of each L[A] term
+    # every factor below is the identity, an H, an A or an A^dag A, or the transpose or conjugate of one
+    factors = [eye, *hamiltonians, *ops, *(a.conj().T @ a for a in ops)]
+    support = np.logical_or.reduce([(f != 0) | (f.T != 0) for f in factors])
+    flat = np.flatnonzero(np.kron(support, support))  # where some x kron y can be nonzero
+    row, col = np.divmod(flat, d * d)
+
+    def kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return x[row // d, col // d] * y[row % d, col % d]
+
+    values = [-1j * (kron(eye, h) - kron(h.T, eye)) for h in hamiltonians]
+    for a in ops:
+        ada = a.conj().T @ a
+        values.append(kron(a.conj(), a) - 0.5 * kron(eye, ada) - 0.5 * kron(ada.T, eye))
+    values = np.array(values)
+    keep = values.any(axis=0)
+    return flat[keep], values[:, keep]
 
 
-def dissipator_superoperator(a: np.ndarray) -> np.ndarray:
-    """Matrix of L[A] over column-stacked states."""
-    eye = np.eye(a.shape[0], dtype=complex)
-    ada = a.conj().T @ a
-    return np.kron(a.conj(), a) - 0.5 * np.kron(eye, ada) - 0.5 * np.kron(ada.T, eye)
+def generator_matrix(positions: np.ndarray, values: np.ndarray, coef: Sequence[float], dim: int) -> np.ndarray:
+    """The dense dim^2 x dim^2 matrix sum_c coef[c] * term_c of a ``superoperator_terms`` table."""
+    flat = np.zeros(dim**4, dtype=complex)
+    flat[positions] = np.asarray(coef, dtype=complex) @ values
+    return flat.reshape(dim * dim, dim * dim)
 
 
 def build_superoperator(h: np.ndarray, channels: Sequence[BathChannel]) -> Liouvillian:
-    """Assemble the dense matrix generator over column-stacked states."""
-    mat = hamiltonian_superoperator(h)
+    """The dense matrix generator over column-stacked states, from ``superoperator_terms``."""
+    coef = [1.0]
     for ch in channels:
         n = occupation(ch.delta_e, ch.temperature)
-        mat += ch.kappa * (n + 1.0) * dissipator_superoperator(ch.jump)
-        mat += ch.kappa * n * dissipator_superoperator(ch.jump.conj().T)
-    return Liouvillian(matrix=mat, hamiltonian=h, channels=list(channels))
+        coef += [ch.kappa * (n + 1.0), ch.kappa * n]
+    matrix = generator_matrix(*superoperator_terms([h], [ch.jump for ch in channels]), coef, h.shape[0])
+    return Liouvillian(matrix=matrix, hamiltonian=h, channels=list(channels))

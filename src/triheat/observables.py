@@ -18,6 +18,8 @@ from .lindblad import dissipator_apply
 from .model import BATHS, DIMS, BathChannel
 
 IMAG_TOL = 1e-11
+# A current's imaginary residue above IMAG_TOL, formatted with the residue and the bound.
+IMAG_RESIDUE = "imaginary residue {:.3e} exceeds {:.1e}; inputs are numerically inconsistent"
 
 
 @dataclass(frozen=True)
@@ -39,10 +41,7 @@ def heat_current(h: np.ndarray, channel_group: Sequence[BathChannel], rho: np.nd
         d = d + dissipator_apply(ch, rho)
     val = -np.trace(h @ d)
     if abs(val.imag) > IMAG_TOL:
-        raise ValueError(
-            f"heat_current: imaginary residue {val.imag:.3e} exceeds {IMAG_TOL:.1e}; "
-            "inputs are numerically inconsistent"
-        )
+        raise ValueError("heat_current: " + IMAG_RESIDUE.format(val.imag, IMAG_TOL))
     return float(val.real)
 
 

@@ -1,7 +1,9 @@
 """Steady-state and time-domain solvers for the master equation.
 
-``steady_state`` and ``evolve`` consume the one dense generator matrix from
-``build_superoperator`` and differ only in algorithm: an algebraic
+``steady_state`` and ``evolve`` consume the one dense generator matrix,
+which ``chain_liouvillian`` forms from the chain's term table
+``generator_table`` (``build_superoperator`` does so for any other system),
+and differ only in algorithm: an algebraic
 null-space solve (SVD, smallest singular vector) and a classical fixed-step
 RK4 integration of d vec(rho)/dt = L vec(rho). L is linear, so
 ``trajectory`` builds the one-step RK4 matrix P on the entries of vec(rho)
@@ -19,7 +21,8 @@ run on, with ``steady_state`` as its oracle. It uses two facts about the
 chain. The generator is affine in the parameters: L(p) = sum_c coef_c(p) *
 S_c over 14 fixed terms, the six Hamiltonian terms and kappa*(n+1), kappa*n
 for each of the four channels. And the terms share a sparse nonzero
-pattern: its connected components split the 144 entries of vec(rho) into
+pattern, 544 of the 144^2 entries, where the term table holds them: its
+connected components split the 144 entries of vec(rho) into
 19 blocks that no coefficient can couple. One block of 26 entries holds
 every population and so the steady state; the other 18 are nine pairs of
 transpose mirrors (rho[a, b] and rho[b, a]) with equal singular values, of
@@ -39,25 +42,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .lindblad import (
-    Liouvillian,
-    dissipator_superoperator,
-    hamiltonian_superoperator,
-    occupation,
-    unvec,
-    vec,
-)
+from .lindblad import Liouvillian, generator_matrix, occupation, superoperator_terms, unvec, vec
 from .model import (
     BATHS,
     CHANNEL_LABELS,
     DIM,
     HAMILTONIAN_FIELDS,
     SystemParams,
+    bath_channels,
     channel_constants,
     hamiltonian_terms,
     jump_operators,
+    total_hamiltonian,
 )
-from .observables import IMAG_TOL, HeatCurrents, bath_currents
+from .observables import IMAG_RESIDUE, IMAG_TOL, HeatCurrents, bath_currents
 
 HERM_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -207,12 +205,33 @@ class PointSolve:
 
 
 def generator_coefficients(p: SystemParams) -> list[float]:
-    """coef_c(p) of the 14 generator terms, in ``BlockEngine`` term order."""
+    """coef_c(p) of the 14 generator terms, in ``generator_table`` order."""
     coef = [float(getattr(p, name)) for name in HAMILTONIAN_FIELDS]
     for delta_e, kappa, temperature in channel_constants(p):
         n = occupation(delta_e, temperature)
         coef += [kappa * (n + 1.0), kappa * n]
     return coef
+
+
+@functools.cache
+def generator_table() -> tuple[np.ndarray, np.ndarray]:
+    """The chain's 14 generator terms as one ``superoperator_terms`` table, built on first use.
+
+    Term c is the c-th Hamiltonian term's commutator for c < 6, then the
+    dissipators of each channel's jump and of its adjoint, the order of
+    ``generator_coefficients``. Every caller shares the arrays, so they are
+    read-only.
+    """
+    table = superoperator_terms(hamiltonian_terms(), jump_operators())
+    for array in table:
+        array.flags.writeable = False
+    return table
+
+
+def chain_liouvillian(p: SystemParams) -> Liouvillian:
+    """The chain's generator at one parameter point, as coefficients times ``generator_table``."""
+    matrix = generator_matrix(*generator_table(), generator_coefficients(p), DIM)
+    return Liouvillian(matrix=matrix, hamiltonian=total_hamiltonian(p), channels=bath_channels(p))
 
 
 def connected_components(link: np.ndarray) -> list[np.ndarray]:
@@ -240,31 +259,22 @@ def block_eigenvalues(matrix: np.ndarray) -> np.ndarray:
 
 
 class BlockEngine:
-    """The chain's generator as the exact blocks of 14 fixed terms.
+    """The chain's generator as the exact blocks of the 14 terms of ``generator_table``.
 
-    Term c is the c-th Hamiltonian term's commutator for c < 6, then the
-    dissipators of each channel's jump and of its adjoint. The blocks are
-    the connected components of the entries that are nonzero in some term,
-    so no choice of coefficients couples two of them. L(rho^dagger) =
-    L(rho)^dagger takes each component to its transpose mirror, whose block
-    is the conjugate one with its entries reordered and so has the same
-    singular values; one component of each mirror pair is kept, and every
-    self-mirrored one. Block 0 is the null block, the one component that
+    The blocks are the connected components of the entries that are
+    nonzero in some term, so no choice of coefficients couples two of them.
+    L(rho^dagger) = L(rho)^dagger takes each component to its transpose
+    mirror, whose block is the conjugate one with its entries reordered and
+    so has the same singular values; one component of each mirror pair is
+    kept, and every self-mirrored one. Block 0 is the null block, the one component that
     holds every population (26 rows for the chain); the others have 19,
     10, 10, 7, 5, 5, 1, 1 and 1 rows.
     """
 
     def __init__(self) -> None:
-        h_terms = hamiltonian_terms()
-        jumps = jump_operators()
-
-        def generators():  # one 144x144 term alive at a time
-            yield from (hamiltonian_superoperator(h) for h in h_terms)
-            yield from (dissipator_superoperator(a) for jump in jumps for a in (jump, jump.conj().T))
-
+        positions, values = generator_table()
         pattern = np.zeros((DIM * DIM, DIM * DIM), dtype=bool)
-        for mat in generators():
-            pattern |= mat != 0
+        pattern.flat[positions] = True
         row, col = (vec(m) for m in np.indices((DIM, DIM)))  # vec(rho)[v] = rho[row[v], col[v]]
         partner = vec(unvec(np.arange(DIM * DIM)).T)  # position of rho[b, a] for each entry rho[a, b]
         # a component is kept unless its mirror starts at a lower index
@@ -275,9 +285,12 @@ class BlockEngine:
         self.index = holding + [c for c in kept if c is not holding[0]]
         self.sizes = [len(idx) for idx in self.index]
         self.bounds = np.cumsum([0] + [m * m for m in self.sizes])
-        self.terms = np.empty((len(h_terms) + 2 * len(jumps), self.bounds[-1]), dtype=complex)
-        for c, mat in enumerate(generators()):
-            self.terms[c] = np.concatenate([mat[np.ix_(idx, idx)].ravel() for idx in self.index])
+        # every block's entries in one gather; an entry off the table reads the appended zero column.
+        # np.take returns them C-contiguous: assemble's product rounds a strided operand differently.
+        column = np.full(DIM**4, len(positions))
+        column[positions] = np.arange(len(positions))
+        flat = np.concatenate([np.add.outer(idx * DIM * DIM, idx).ravel() for idx in self.index])
+        self.terms = np.take(np.concatenate([values, np.zeros((len(values), 1))], axis=1), column[flat], axis=1)
 
         idx0 = self.index[0]
         # the null block is its own mirror, so every partner lies in the block
@@ -285,8 +298,8 @@ class BlockEngine:
         self.diagonal, self.partner = layout.diagonal, layout.partner
         # J_P = -Tr(H D_P[rho]) = sum_c sum_{d in P} coef_c coef_d * currents[c, d] . x
         m0 = self.sizes[0]
-        dissipators = self.terms[len(h_terms):, : m0 * m0].reshape(-1, m0, m0)
-        h_rows = np.array([vec(h.T)[idx0] for h in h_terms])
+        dissipators = self.terms[len(HAMILTONIAN_FIELDS):, : m0 * m0].reshape(-1, m0, m0)
+        h_rows = np.array([vec(h.T)[idx0] for h in hamiltonian_terms()])
         self.currents = -np.einsum("ck,dkl->cdl", h_rows, dissipators)
         # channel P owns the dissipator terms 2P (its jump) and 2P + 1 (the adjoint)
         self.bath_terms = [
@@ -376,8 +389,7 @@ class BlockEngine:
         currents = np.stack([terms[:, :, bath].sum(axis=(1, 2)) for bath in self.bath_terms], axis=1)
         imag = np.abs(currents.imag).max(axis=1)
         keep = imag <= IMAG_TOL
-        drop(~keep, "imaginary_current",
-             lambda k: f"heat current has imaginary residue {imag[k]:.3e} above {IMAG_TOL:.1e}")
+        drop(~keep, "imaginary_current", lambda k: "heat current " + IMAG_RESIDUE.format(imag[k], IMAG_TOL))
         currents, rho, residual = currents[keep].real, rho[keep], residual[keep]
 
         imbalance = np.abs(currents.sum(axis=1))

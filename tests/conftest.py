@@ -6,11 +6,9 @@ import pytest
 from triheat import (
     SteadyStateResult,
     SystemParams,
-    bath_channels,
-    build_superoperator,
+    chain_liouvillian,
     gibbs_state,
     steady_state,
-    total_hamiltonian,
 )
 
 # Transfer-curve operating point: hot left drain, cold gate and source.
@@ -37,8 +35,7 @@ COUPLING_PARAMS = SystemParams(
 
 
 def solve(params: SystemParams) -> SteadyStateResult:
-    h = total_hamiltonian(params)
-    return steady_state(build_superoperator(h, bath_channels(params)))
+    return steady_state(chain_liouvillian(params))
 
 
 def product_gibbs(params: SystemParams) -> np.ndarray:

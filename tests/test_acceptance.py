@@ -15,13 +15,11 @@ import pytest
 from triheat import (
     DensityMatrix,
     SteadyStateError,
-    bath_channels,
-    build_superoperator,
+    chain_liouvillian,
     evolve,
     occupation,
     rhs_apply,
     steady_state,
-    total_hamiltonian,
     trace_distance,
     unvec,
     vec,
@@ -83,8 +81,7 @@ def test_02_energy_conservation_on_all_grids(figure_grids):
 
 
 def test_03_solver_cross_validation():
-    p = TRANSFER_PARAMS
-    liou = build_superoperator(total_hamiltonian(p), bath_channels(p))
+    liou = chain_liouvillian(TRANSFER_PARAMS)
     reference = steady_state(liou).state
     evolved = evolve(DensityMatrix.maximally_mixed(12), liou, t_final=1e4, dt_max=0.05)
     dist = trace_distance(evolved, reference)
@@ -122,10 +119,8 @@ def test_04_state_validity_everywhere(figure_grids):
 
 
 def test_05_superoperator_consistency():
-    p = TRANSFER_PARAMS
-    h = total_hamiltonian(p)
-    chans = bath_channels(p)
-    liou = build_superoperator(h, chans)
+    liou = chain_liouvillian(TRANSFER_PARAMS)
+    h, chans = liou.hamiltonian, liou.channels
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(50):

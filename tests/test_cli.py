@@ -68,6 +68,17 @@ class TestSteady:
         assert cli_main(["steady", "--config", str(tmp_path / "nope.cfg")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        POINT_CFG.replace("e2 = 1.0\n", "e2 = 1.0\ne2 = 2.0\n"),
+        "e1 = 1.0\n",
+    ], ids=["duplicate-key", "no-section-header"])
+    def test_config_syntax_error_is_named(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text, encoding="utf-8")
+        assert cli_main(["steady", "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
+
     def test_invalid_config_content(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(POINT_CFG.replace("kappa_m = 0.02", "kappa_m = 0.0"), encoding="utf-8")
@@ -102,6 +113,21 @@ class TestSweep:
         assert code == 0
         assert len(out.read_text(encoding="utf-8").strip().split("\n")) == 101
         assert plot.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (("plot_y = j_l", "plot_y = bogus"), "plot_y 'bogus' is not a plottable column"),
+        (("plot_y = j_l", "plot_y = j_l\nplot_style = heatmap"), "heatmap plot needs a second sweep axis"),
+    ], ids=["unknown-column", "heatmap-without-axis2"])
+    def test_bad_plot_settings_fail_before_any_solve(self, tmp_path, capsys, edit, message):
+        cfg = tmp_path / "plot.cfg"
+        text = (SCRIPTS / "transfer_curve.cfg").read_text(encoding="utf-8")
+        cfg.write_text(text.replace(*edit), encoding="utf-8")
+        out = tmp_path / "rows.csv"
+        code = cli_main(["sweep", "--config", str(cfg), "--out", str(out), "--plot", str(tmp_path / "rows.svg")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}") and captured.out == ""
+        assert not out.exists()
 
     def test_deterministic_across_threads(self, small_sweep_cfg, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -150,6 +150,11 @@ class TestSuperoperator:
         assert liou.matrix.shape == (9, 9)
         assert np.max(np.abs(liou.matrix)) == 0.0
 
+    def test_jump_shape_must_match_hamiltonian(self):
+        ch = BathChannel("X", np.zeros((3, 3), dtype=complex), 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match=r"^jump shape \(3, 3\) does not match Hamiltonian shape \(2, 2\)$"):
+            build_superoperator(np.zeros((2, 2), dtype=complex), [ch])
+
     def test_matrix_matches_direct_application(self, rng):
         p = TRANSFER_PARAMS
         h = total_hamiltonian(p)

@@ -14,8 +14,10 @@ from triheat import (
     SystemParams,
     bath_channels,
     build_superoperator,
+    chain_liouvillian,
     evolve,
     occupation,
+    rhs_apply,
     steady_state,
     steady_states,
     total_hamiltonian,
@@ -40,7 +42,7 @@ from triheat.solvers import (
     generator_coefficients,
     invariant_support,
 )
-from conftest import TRANSFER_PARAMS, product_gibbs, random_density, solve
+from conftest import TRANSFER_PARAMS, product_gibbs, random_density, random_hermitian, solve
 
 QUBIT_LOWER = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -582,10 +584,16 @@ class TestBlockEngine:
 
     def test_split_populations_fail_at_build(self, monkeypatch):
         # without jumps only the two exchange terms link populations: the
-        # 0/1 exchanges of equal excitation number, and no qutrit level 2
+        # 0/1 exchanges of equal excitation number, and no qutrit level 2.
+        # The table is cached, so it is rebuilt without jumps here, and
+        # dropped again so that no later test reads it.
+        solvers.generator_table.cache_clear()
         monkeypatch.setattr(solvers, "jump_operators", lambda: [])
-        with pytest.raises(RuntimeError, match="^the generator terms split the 12 populations over 8 blocks$"):
-            solvers.BlockEngine()
+        try:
+            with pytest.raises(RuntimeError, match="^the generator terms split the 12 populations over 8 blocks$"):
+                solvers.BlockEngine()
+        finally:
+            solvers.generator_table.cache_clear()
 
     def test_unreachable_tolerance_fails_every_point_with_residual(self, monkeypatch):
         monkeypatch.setattr(solvers, "RESIDUAL_TOL", 1e-40)
@@ -627,6 +635,31 @@ class TestBlockEngine:
         assert isinstance(result.state, DensityMatrix)
         assert result.currents == solved.currents
         assert trace_distance(result.state, solve(TRANSFER_PARAMS).state) <= 1e-10
+
+
+class TestGeneratorTable:
+    def test_holds_the_joint_pattern_of_the_14_terms(self):
+        positions, values = solvers.generator_table()
+        assert positions.shape == (544,) and values.shape == (14, 544)
+        assert np.all(np.diff(positions) > 0)
+        assert np.all(values.any(axis=0))
+
+    def test_matches_operator_form_and_general_builder(self, rng):
+        # seeded_points alternate resonant and detuned levels and set g = 0 on
+        # every fourth; the same points at T = 5e-4 have every x = dE/T above
+        # 700, so n = 0 in all four channels
+        points = seeded_points(count=12)
+        cold = [dataclasses.replace(p, t_l=5e-4, t_m=5e-4, t_r=5e-4) for p in points]
+        assert all(generator_coefficients(p)[7::2] == [0.0] * 4 for p in cold)
+        for p in points + cold:
+            liou = chain_liouvillian(p)
+            scale = np.max(np.abs(liou.matrix))
+            for _ in range(5):
+                rho = random_hermitian(rng, 12)
+                diff = unvec(liou.matrix @ vec(rho)) - rhs_apply(liou.hamiltonian, liou.channels, rho)
+                assert np.max(np.abs(diff)) <= 1e-14 * scale * np.max(np.abs(rho)), p
+            general = build_superoperator(total_hamiltonian(p), bath_channels(p)).matrix
+            assert np.max(np.abs(liou.matrix - general)) <= 1e-15 * scale, p
 
 
 class TestConnectedComponents:
