@@ -23,7 +23,7 @@ import numpy as np
 from .config import ConfigError, load_params, load_sweep
 from .lindblad import rhs_apply, unvec, vec
 from .model import SystemParams, gibbs_state
-from .observables import bath_currents, reduced_populations
+from .observables import IMAG_RESIDUE, IMAG_TOL, reduced_populations
 from .solvers import (
     BALANCE_TOL,
     EIG_FLOOR,
@@ -33,6 +33,7 @@ from .solvers import (
     SteadyStateError,
     block_eigenvalues,
     chain_liouvillian,
+    current_rows,
     evolve,
     steady_state,
     steady_states,
@@ -42,10 +43,12 @@ from .solvers import (
 from .sweep import STATUS_OK, emit_csv, run_sweep
 from .svgplot import check_plot, emit_plot
 
-# The generators come from solvers.chain_liouvillian. perfbench's tracer wraps
-# these names on this module, and its tests require each of them to exist.
+# The generators come from solvers.chain_liouvillian and evolve's currents from
+# solvers.current_rows. perfbench's tracer wraps these names on this module,
+# and its tests require each of them to exist.
 from .lindblad import build_superoperator  # noqa: F401
 from .model import bath_channels, total_hamiltonian  # noqa: F401
+from .observables import bath_currents  # noqa: F401
 
 # Default operating point for `check` when no config is given: the resonant
 # chain with a hot left bath, a cold middle bath, and an intermediate right bath.
@@ -113,15 +116,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
-    liou = chain_liouvillian(load_params(args.config))
-    h, channels = liou.hamiltonian, liou.channels
+    params = load_params(args.config)
+    liou = chain_liouvillian(params)
     states = trajectory(DensityMatrix.maximally_mixed(liou.dim), liou, args.t_final, args.samples, args.dt_max)
     times = np.linspace(0.0, args.t_final, args.samples + 1)
+    # every sample's currents in one product, each checked as heat_current checks it
+    rows = current_rows(params)
+    read = np.flatnonzero(rows.any(axis=0))  # the entries of vec(rho) the currents depend on
+    currents = np.array([vec(state.mat)[read] for state in states]) @ rows[:, read].T
+    residue = currents.imag.ravel()
+    over = np.flatnonzero(np.abs(residue) > IMAG_TOL)
+    if over.size:
+        raise ValueError("heat_current: " + IMAG_RESIDUE.format(residue[over[0]], IMAG_TOL))
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("t,j_l,j_m,j_r\n")
-        for t, state in zip(times, states):
-            cur = bath_currents(h, channels, state.mat)
-            fh.write(",".join(format(v, ".17g") for v in (t, cur.j_l, cur.j_m, cur.j_r)) + "\n")
+        for t, cur in zip(times, currents.real):
+            fh.write(",".join(format(v, ".17g") for v in (t, *cur)) + "\n")
     print(f"wrote {len(times)} samples to {args.out}")
     return 0
 

@@ -13,7 +13,8 @@ Format (all values in units of the qubit spacing):
                     out, plot, plot_x, plot_y, plot_style   (optional)
 
 Derived columns are arithmetic expressions over the three bath temperatures
-t_l, t_m, t_r, evaluated per grid point at output time.
+t_l, t_m, t_r, evaluated per grid point at output time. Files are read as
+UTF-8.
 """
 
 from __future__ import annotations
@@ -130,8 +131,8 @@ def compile_derived(name: str, expression: str) -> DerivedColumn:
 def _read_ini(path: str | Path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        loaded = parser.read(path)
-    except configparser.Error as exc:
+        loaded = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not loaded:
         raise ConfigError(f"cannot read config file {path}")

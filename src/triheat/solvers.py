@@ -11,7 +11,11 @@ that the initial state can reach through L, powers it from one state check
 to the next, and carries every output interval's checked states to the
 next interval with one matrix product. ``evolve`` is its one-interval case.
 The state checks run on the support's entries and on the diagonal blocks
-the support splits the state into. The test suite cross-checks the two
+the support splits the state into, and positivity is decided from the
+blocks' LDL^H pivots with elementwise operations rather than measured with
+a LAPACK call per matrix. ``current_functionals`` states the heat
+currents as linear functionals of vec(rho), from the same term table, for
+``triheat evolve`` and the engine alike. The test suite cross-checks the two
 algorithms against each other, checks ``evolve`` against explicit RK4
 steps and ``trajectory`` against a loop of ``evolve`` calls, and checks
 the matrix itself against the operator form ``rhs_apply``.
@@ -234,6 +238,41 @@ def chain_liouvillian(p: SystemParams) -> Liouvillian:
     return Liouvillian(matrix=matrix, hamiltonian=total_hamiltonian(p), channels=bath_channels(p))
 
 
+# Each bath's dissipator terms, as a (3, 8) mask: channel k owns terms 2k (its jump) and 2k + 1 (the adjoint).
+_BATH_TERMS = np.array([
+    [CHANNEL_LABELS[d // 2] in labels for d in range(2 * len(CHANNEL_LABELS))] for labels in BATHS.values()
+])
+
+
+def current_functionals(h_weight: np.ndarray, d_weight: np.ndarray) -> np.ndarray:
+    """Rows f over vec(rho) with -Tr(H D[rho]) = f . vec(rho), from ``generator_table``.
+
+    H = sum_c h_weight[..., c] H_c over the six Hamiltonian terms and D =
+    sum_d d_weight[..., d] S_d over the eight dissipator terms of
+    ``generator_coefficients``; the two weights broadcast against each
+    other. Tr(H X) = vec(H^T) . vec(X), so f = -vec(H^T) D, summed from the
+    table's entries column by column. A heat current J_P is f with the
+    point's coefficients and d_weight kept to the bath's own terms.
+    """
+    positions, values = generator_table()
+    row, col = np.divmod(positions, DIM * DIM)
+    h_rows = np.array([vec(h.T)[row] for h in hamiltonian_terms()])
+    entries = -(h_weight @ h_rows) * (d_weight @ values[len(HAMILTONIAN_FIELDS):])
+    rows = np.zeros(entries.shape[:-1] + (DIM * DIM,), dtype=complex)
+    np.add.at(rows, (..., col), entries)
+    return rows
+
+
+def current_rows(p: SystemParams) -> np.ndarray:
+    """The currents J_L, J_M, J_R at one point as three ``current_functionals`` rows.
+
+    (rows @ vec(rho)).real are the currents ``bath_currents`` computes in
+    operator form; the imaginary part is round-off.
+    """
+    coef = np.array(generator_coefficients(p))
+    return current_functionals(coef[: len(HAMILTONIAN_FIELDS)], _BATH_TERMS * coef[len(HAMILTONIAN_FIELDS):])
+
+
 def connected_components(link: np.ndarray) -> list[np.ndarray]:
     """The connected components of the graph whose edges are the True entries of a square link matrix.
 
@@ -296,16 +335,12 @@ class BlockEngine:
         # the null block is its own mirror, so every partner lies in the block
         layout = StateSupport(idx0, DIM)
         self.diagonal, self.partner = layout.diagonal, layout.partner
-        # J_P = -Tr(H D_P[rho]) = sum_c sum_{d in P} coef_c coef_d * currents[c, d] . x
-        m0 = self.sizes[0]
-        dissipators = self.terms[len(HAMILTONIAN_FIELDS):, : m0 * m0].reshape(-1, m0, m0)
-        h_rows = np.array([vec(h.T)[idx0] for h in hamiltonian_terms()])
-        self.currents = -np.einsum("ck,dkl->cdl", h_rows, dissipators)
-        # channel P owns the dissipator terms 2P (its jump) and 2P + 1 (the adjoint)
-        self.bath_terms = [
-            np.array([2 * CHANNEL_LABELS.index(label) + s for label in labels for s in (0, 1)])
-            for labels in BATHS.values()
-        ]
+        # J_P = sum_c sum_{d in P} coef_c coef_d * currents[c, d] . x, for each point's coefficients;
+        # one Hamiltonian term at a time keeps the temporaries small
+        self.currents = np.array([
+            current_functionals(h_weight, np.eye(_BATH_TERMS.shape[1]))[:, idx0]
+            for h_weight in np.eye(len(HAMILTONIAN_FIELDS))
+        ])
 
     def assemble(self, coef: np.ndarray) -> list[np.ndarray]:
         """The (n, m, m) stacks of the kept blocks, null block first, for an (n, 14) coefficient array."""
@@ -386,7 +421,7 @@ class BlockEngine:
         w = coef[alive]
         h_coef, d_coef = w[:, : len(HAMILTONIAN_FIELDS)], w[:, len(HAMILTONIAN_FIELDS):]
         terms = np.einsum("cdk,nk->ncd", self.currents, x) * h_coef[:, :, None] * d_coef[:, None, :]
-        currents = np.stack([terms[:, :, bath].sum(axis=(1, 2)) for bath in self.bath_terms], axis=1)
+        currents = np.stack([terms[:, :, bath].sum(axis=(1, 2)) for bath in _BATH_TERMS], axis=1)
         imag = np.abs(currents.imag).max(axis=1)
         keep = imag <= IMAG_TOL
         drop(~keep, "imaginary_current", lambda k: "heat current " + IMAG_RESIDUE.format(imag[k], IMAG_TOL))
@@ -463,18 +498,61 @@ class StateSupport:
         self.diagonal = np.flatnonzero(row == col)
         link = np.zeros((dim, dim), dtype=bool)
         link[row, col] = True
+        components = connected_components(link)
         by_size: dict[int, list[np.ndarray]] = {}
-        for levels in connected_components(link):
+        for levels in components:
             by_size.setdefault(len(levels), []).append(where[np.ix_(levels, levels)])
         self.blocks = [np.array(gathers) for gathers in by_size.values()]  # (count, k, k) positions each
+        # every block at once, padded to the largest with zero rows and columns, which add eigenvalues 0;
+        # (k, k, count) positions, so that a gather holds each entry of every block and state in one row
+        largest = max(map(len, components))
+        self.squares = np.full((largest, largest, len(components)), len(index))
+        for b, levels in enumerate(components):
+            self.squares[: len(levels), : len(levels), b] = where[np.ix_(levels, levels)]
 
     def defects(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``_state_defects`` of the states that a stack of support vectors (n, len(index)) stands for."""
-        padded = np.concatenate([x, np.zeros((len(x), 1), dtype=x.dtype)], axis=1)
-        herm = np.abs(x - padded[:, self.partner].conj()).max(axis=1)
-        tr_err = np.abs(x[:, self.diagonal].sum(axis=1) - 1.0)
+        herm, tr_err = self.hermiticity_and_trace(x)
+        padded = _padded(x)
         min_eig = np.min([np.linalg.eigvalsh(padded[:, b]).min(axis=(1, 2)) for b in self.blocks], axis=0)
         return herm, tr_err, min_eig
+
+    def hermiticity_and_trace(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The first two of ``defects``: each state's Hermiticity defect and trace error."""
+        herm = np.abs(x - _padded(x)[:, self.partner].conj()).max(axis=1)
+        return herm, np.abs(x[:, self.diagonal].sum(axis=1) - 1.0)
+
+    def bounded_below(self, x: np.ndarray, floor: float) -> np.ndarray:
+        """Whether each state of a stack of support vectors has no eigenvalue below ``floor``, decided without eigenvalues.
+
+        A Hermitian block has lambda_min >= floor exactly when the block
+        minus floor * I is positive semidefinite, which its LDL^H pivots
+        decide: by Sylvester's law of inertia none is negative, and below a
+        zero pivot its column is zero. Every block of every state is
+        factored at once with elementwise operations, reading only the lower
+        triangle and the real diagonal, as ``eigvalsh`` does; ``floor`` must
+        not be positive, so the padding's eigenvalues 0 pass. A state with
+        a non-finite entry is not bounded below.
+        """
+        a = np.vstack([x.T, np.zeros(len(x), dtype=x.dtype)])[self.squares]  # (k, k, blocks, n)
+        ok = np.ones(a.shape[2:], dtype=bool)
+        # an overflowing pivot reads inf or NaN and fails its state
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(len(a)):
+                d = a[j, j].real - floor  # the shift reaches each diagonal entry once, when it pivots
+                col = a[j + 1:, j]
+                ok &= (d > 0) | ((d == 0) & (col == 0).all(axis=0))
+                factor = col / np.where(d > 0, d, np.inf)  # a failed pivot eliminates nothing
+                a[j + 1:, j + 1:] -= factor[:, None] * col[None, :].conj()
+        return ok.all(axis=0) & np.isfinite(x).all(axis=1)
+
+
+def _padded(x: np.ndarray) -> np.ndarray:
+    """A stack of support vectors with a zero column appended, where a gather of an entry off the support reads."""
+    return np.concatenate([x, np.zeros((len(x), 1), dtype=x.dtype)], axis=1)
+
+
+_SAMPLE_CHECKS = ("hermiticity defect {:.3e}", "trace drift {:.3e}", "negative eigenvalue {:.3e}")
 
 
 def _first_bad_sample(x: np.ndarray, support: StateSupport) -> tuple[int, str] | None:
@@ -482,22 +560,23 @@ def _first_bad_sample(x: np.ndarray, support: StateSupport) -> tuple[int, str] |
 
     The checks are those of a density matrix at 10x its tolerances, in the
     order finite, Hermitian, trace drift, smallest eigenvalue; the failed
-    ones are listed in that order. None if all states pass. The states
-    from the first non-finite one on are not measured, so a blow-up never
-    reaches LAPACK.
+    ones are listed in that order. None if all states pass. The smallest
+    eigenvalue is decided by ``StateSupport.bounded_below``, and only the
+    first failing state's ``defects`` are measured, to word the message.
+    The states from the first non-finite one on are not measured, so a
+    blow-up never reaches LAPACK.
     """
     finite = np.isfinite(x).all(axis=1)
     n = len(x) if finite.all() else int(np.argmin(finite))
-    herm, tr_err, min_eig = support.defects(x[:n])
-    checks = (
-        (herm > 10 * HERM_TOL, "hermiticity defect {:.3e}", herm),
-        (tr_err > 10 * TRACE_DRIFT_TOL, "trace drift {:.3e}", tr_err),
-        (min_eig < 10 * EIG_FLOOR, "negative eigenvalue {:.3e}", min_eig),
-    )
-    failing = np.flatnonzero(np.logical_or.reduce([bad for bad, _, _ in checks]))
+    herm, tr_err = support.hermiticity_and_trace(x[:n])
+    bad = (herm > 10 * HERM_TOL, tr_err > 10 * TRACE_DRIFT_TOL, ~support.bounded_below(x[:n], 10 * EIG_FLOOR))
+    failing = np.flatnonzero(np.logical_or.reduce(bad))
     if failing.size:
         k = int(failing[0])
-        return k, ", ".join(message.format(value[k]) for bad, message, value in checks if bad[k])
+        values = support.defects(x[k: k + 1])
+        return k, ", ".join(
+            message.format(value[0]) for failed, message, value in zip(bad, _SAMPLE_CHECKS, values) if failed[k]
+        )
     return None if n == len(x) else (n, "state is not finite")
 
 
@@ -537,9 +616,12 @@ def trajectory(
     ``evolve`` over that interval alone would check it. The first
     interval's checked states come from P powered to that stride, and each
     later interval's from the previous ones times P^steps; one interval is
-    checked at a time. A breach raises IntegrationError naming the first
-    failing state's time since ``rho0`` and every check it fails (typically
-    an unstable step size).
+    checked at a time. The smallest-eigenvalue check is the decision
+    ``StateSupport.bounded_below`` over all of an interval's blocks at once,
+    and only the first failing state's eigenvalues are measured, for the
+    message. A breach raises IntegrationError naming the first failing
+    state's time since ``rho0`` and every check it fails (typically an
+    unstable step size).
 
     Each output state must keep its trace within ``TRACE_DRIFT_TOL`` of 1
     since ``rho0``; it is then Hermitized, renormalized and validated as a
@@ -615,7 +697,8 @@ def evolve(
     (hL)^4/24 on the invariant support of vec(rho0), and n steps are P^n.
     The state is checked every ``max(1, steps // 200)`` steps and after the
     last one; P powered to that stride gives the sample states, and they
-    are checked in one batch. A breach raises IntegrationError naming the
-    first failing sample's time (typically an unstable step size).
+    are checked in one batch, positivity by LDL^H pivots rather than
+    eigenvalues. A breach raises IntegrationError naming the first failing
+    sample's time (typically an unstable step size).
     """
     return trajectory(rho0, liouvillian, t_final, 1, dt_max)[-1]

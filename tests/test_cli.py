@@ -79,6 +79,14 @@ class TestSteady:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
 
+    def test_config_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        bad = tmp_path / "latin.cfg"
+        bad.write_bytes(b"[energies]\ne1 = 1\xff")
+        assert cli_main(["steady", "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
+        assert "can't decode byte 0xff" in err
+
     def test_invalid_config_content(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(POINT_CFG.replace("kappa_m = 0.02", "kappa_m = 0.0"), encoding="utf-8")

@@ -39,9 +39,11 @@ from triheat.solvers import (
     block_eigenvalues,
     block_engine,
     connected_components,
+    current_rows,
     generator_coefficients,
     invariant_support,
 )
+from triheat.observables import bath_currents
 from conftest import TRANSFER_PARAMS, product_gibbs, random_density, random_hermitian, solve
 
 QUBIT_LOWER = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -431,6 +433,56 @@ class TestStateSupport:
         bad[3][a, a] = np.nan
         assert compare(bad) == (3, "state is not finite")
 
+    @pytest.mark.parametrize("layout", ["blocks-1-2-3", "full-support"])
+    def test_bounded_below_matches_eigvalsh_at_the_bound(self, layout):
+        rng = np.random.default_rng(41)
+        floor = 10 * EIG_FLOOR
+        if layout == "blocks-1-2-3":
+            # levels 6 to 11 are never touched: zero rows outside the support
+            components, zero_levels = [[0], [1, 2], [3, 4, 5]], []
+        else:
+            # the random start's support is every entry, one 12-level block;
+            # three of its levels hold zero rows inside the block
+            components, zero_levels = [list(range(12))], [2, 7, 11]
+        pattern = np.zeros((12, 12), dtype=bool)
+        for levels in components:
+            pattern[np.ix_(levels, levels)] = True
+        support = StateSupport(np.flatnonzero(vec(pattern)), 12)
+        assert {b.shape[1] for b in support.blocks} == ({1, 2, 3} if len(components) == 3 else {12})
+
+        states = []
+        for levels in components:  # each block in turn holds the smallest eigenvalue
+            filled = [lvl for lvl in levels if lvl not in zero_levels]
+            for factor in (1.0 - 1e-4, 1.0 + 1e-4):
+                for _ in range(4):
+                    state = block_diagonal_states(rng, components, 1)[0]
+                    state[zero_levels, :] = 0.0
+                    state[:, zero_levels] = 0.0
+                    w, u = np.linalg.eigh(state[np.ix_(filled, filled)])
+                    w[0] = floor * factor
+                    state[np.ix_(filled, filled)] = (u * w) @ u.conj().T
+                    states.append(state)
+        a, b = components[-1][:2]
+        overflowing = np.zeros((12, 12), dtype=complex)
+        overflowing[b, b] = 1.0
+        overflowing[a, b] = overflowing[b, a] = 1e300  # pivot 1e300 / 1e-9 overflows
+        positive = block_diagonal_states(rng, components, 1)[0]
+        states += [1e150 * positive, -1e200 * positive, overflowing]  # blow-up scales
+        states = np.array(states)
+        full = np.linalg.eigvalsh(states).min(axis=1)
+        # the constructed eigenvalue sits 1e-13 on either side of the bound
+        assert np.all(np.abs(full[:-3] - floor) >= 0.9e-13)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ours = support.bounded_below(vec_stack(states)[:, support.index], floor)
+            blown = np.full((3, len(support.index)), 0.1, dtype=complex)
+            blown[0, 3], blown[1, -1], blown[2, support.diagonal[-1]] = np.inf, np.nan, np.inf
+            assert not support.bounded_below(blown, floor).any()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert np.array_equal(ours, full >= floor)
+        assert ours[:-3].sum() == len(states[:-3]) // 2
+        assert ours[-3:].tolist() == [True, False, False]
+
 
 def vec_stack(states):
     """Column-stacked vectors of a stack of matrices."""
@@ -660,6 +712,30 @@ class TestGeneratorTable:
                 assert np.max(np.abs(diff)) <= 1e-14 * scale * np.max(np.abs(rho)), p
             general = build_superoperator(total_hamiltonian(p), bath_channels(p)).matrix
             assert np.max(np.abs(liou.matrix - general)) <= 1e-15 * scale, p
+
+
+class TestCurrentTable:
+    @pytest.mark.parametrize("start", ["mixed", "random"])
+    def test_matches_bath_currents_on_every_trajectory_sample(self, rng, start):
+        # resonant and detuned levels, g = 0 on every fourth point, and the
+        # same points at T = 5e-4, where n = 0 in all four channels; the
+        # random start fills all 144 entries of vec(rho)
+        points = seeded_points(count=8)
+        points += [dataclasses.replace(p, t_l=5e-4, t_m=5e-4, t_r=5e-4) for p in points]
+        worst = 0.0
+        for p in points:
+            liou = chain_liouvillian(p)
+            rho0 = DensityMatrix.maximally_mixed(12) if start == "mixed" else DensityMatrix(random_density(rng, 12))
+            states = trajectory(rho0, liou, 50.0, 10, 0.05)
+            ours = np.array([vec(s.mat) for s in states]) @ current_rows(p).T
+            expected = [bath_currents(liou.hamiltonian, liou.channels, s.mat) for s in states]
+            expected = np.array([[c.j_l, c.j_m, c.j_r] for c in expected])
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(ours.imag)) <= 1e-13 * scale, p
+            worst = max(worst, np.max(np.abs(ours.real - expected)) / scale)
+        # measured 5.6e-15 from the mixed start and 1.6e-14 from the random one, whose
+        # (c, d) terms reach about 20 times the largest current and cancel
+        assert worst <= 1e-13
 
 
 class TestConnectedComponents:
