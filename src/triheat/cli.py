@@ -31,11 +31,11 @@ from .solvers import (
     DensityMatrix,
     IntegrationError,
     SteadyStateError,
-    block_eigenvalues,
+    block_engine,
     chain_liouvillian,
     current_rows,
     evolve,
-    steady_state,
+    generator_coefficients,
     steady_states,
     trace_distance,
     trajectory,
@@ -43,12 +43,14 @@ from .solvers import (
 from .sweep import STATUS_OK, emit_csv, run_sweep
 from .svgplot import check_plot, emit_plot
 
-# The generators come from solvers.chain_liouvillian and evolve's currents from
-# solvers.current_rows. perfbench's tracer wraps these names on this module,
-# and its tests require each of them to exist.
+# The generators come from solvers.chain_liouvillian, evolve's currents from
+# solvers.current_rows and every steady state from solvers.steady_states.
+# perfbench's tracer wraps these names on this module, and its tests require
+# each of them to exist.
 from .lindblad import build_superoperator  # noqa: F401
 from .model import bath_channels, total_hamiltonian  # noqa: F401
 from .observables import bath_currents  # noqa: F401
+from .solvers import steady_state  # noqa: F401
 
 # Default operating point for `check` when no config is given: the resonant
 # chain with a hot left bath, a cold middle bath, and an intermediate right bath.
@@ -147,7 +149,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     liou = chain_liouvillian(params)
     h, channels = liou.hamiltonian, liou.channels
-    result = steady_state(liou)
+    free = dataclasses.replace(params, g_lm=0.0, g_mr=0.0)
+    solved, free_solved = steady_states([params, free])
+    result = solved.result()
     report("steady-state residual", result.residual <= RESIDUAL_TOL, f"residual {result.residual:.3e}")
 
     cur = result.currents
@@ -166,8 +170,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         worst = max(worst, float(np.max(np.abs(diff))))
     report("superoperator consistency", worst <= 1e-12, f"max deviation {worst:.3e}")
 
-    free = dataclasses.replace(params, g_lm=0.0, g_mr=0.0)
-    free_result = steady_state(chain_liouvillian(free))
+    free_result = free_solved.result()
     expected = np.kron(
         gibbs_state([0.0, free.e1], free.t_l),
         np.kron(gibbs_state([0.0, free.e2, free.e3], free.t_m), gibbs_state([0.0, free.e4], free.t_r)),
@@ -175,7 +178,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     dist = trace_distance(free_result.state.mat, expected)
     report("uncoupled thermalization", dist <= 1e-10, f"trace distance {dist:.3e}")
 
-    ev = block_eigenvalues(liou.matrix)
+    # the engine's kept blocks; each dropped mirror block has the conjugates of its kept block's eigenvalues
+    blocks = block_engine().assemble(np.array([generator_coefficients(params)]))
+    ev = np.concatenate([np.linalg.eigvals(b[0]) for b in blocks])
     gap = -np.max(ev.real[np.abs(ev) > 1e-8])
     t_final = float(min(max(18.0 / gap, 200.0), 5e4))
     dt = float(min(0.05, 1.5 / np.max(np.abs(ev))))

@@ -31,6 +31,7 @@ from .model import BathChannel
 # exp(700) is near the float64 overflow edge; beyond it the occupation is
 # indistinguishable from zero anyway.
 _EXP_ARG_MAX = 700.0
+NON_FINITE_GENERATOR = "generator has non-finite entries"
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,9 +133,16 @@ def superoperator_terms(
 
 
 def generator_matrix(positions: np.ndarray, values: np.ndarray, coef: Sequence[float], dim: int) -> np.ndarray:
-    """The dense dim^2 x dim^2 matrix sum_c coef[c] * term_c of a ``superoperator_terms`` table."""
+    """The dense dim^2 x dim^2 matrix sum_c coef[c] * term_c of a ``superoperator_terms`` table.
+
+    Raises ValueError if a coefficient is not finite, before the product
+    would turn an infinite one times a zero entry into NaN.
+    """
+    coef = np.asarray(coef, dtype=complex)
+    if not np.isfinite(coef).all():
+        raise ValueError(NON_FINITE_GENERATOR)
     flat = np.zeros(dim**4, dtype=complex)
-    flat[positions] = np.asarray(coef, dtype=complex) @ values
+    flat[positions] = coef @ values
     return flat.reshape(dim * dim, dim * dim)
 
 

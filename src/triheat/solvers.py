@@ -20,8 +20,9 @@ algorithms against each other, checks ``evolve`` against explicit RK4
 steps and ``trajectory`` against a loop of ``evolve`` calls, and checks
 the matrix itself against the operator form ``rhs_apply``.
 
-``steady_states`` is the batched engine the sweeps and ``triheat steady``
-run on, with ``steady_state`` as its oracle. It uses two facts about the
+``steady_states`` is the batched engine that every steady state of the
+CLI comes from (``sweep``, ``steady`` and ``check``); the SVD
+``steady_state`` is its oracle in the tests. It uses two facts about the
 chain. The generator is affine in the parameters: L(p) = sum_c coef_c(p) *
 S_c over 14 fixed terms, the six Hamiltonian terms and kappa*(n+1), kappa*n
 for each of the four channels. And the terms share a sparse nonzero
@@ -46,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lindblad import Liouvillian, generator_matrix, occupation, superoperator_terms, unvec, vec
+from .lindblad import NON_FINITE_GENERATOR, Liouvillian, generator_matrix, occupation, superoperator_terms, unvec, vec
 from .model import (
     BATHS,
     CHANNEL_LABELS,
@@ -290,13 +291,6 @@ def connected_components(link: np.ndarray) -> list[np.ndarray]:
     return [np.flatnonzero(label == root) for root in np.flatnonzero(label == np.arange(len(link)))]
 
 
-def block_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """The eigenvalues of a square matrix, taken block by block over the connected components of its nonzero pattern."""
-    return np.concatenate([
-        np.linalg.eigvals(matrix[np.ix_(idx, idx)]) for idx in connected_components(matrix != 0)
-    ])
-
-
 class BlockEngine:
     """The chain's generator as the exact blocks of the 14 terms of ``generator_table``.
 
@@ -333,8 +327,7 @@ class BlockEngine:
 
         idx0 = self.index[0]
         # the null block is its own mirror, so every partner lies in the block
-        layout = StateSupport(idx0, DIM)
-        self.diagonal, self.partner = layout.diagonal, layout.partner
+        self.layout = StateSupport(idx0, DIM)
         # J_P = sum_c sum_{d in P} coef_c coef_d * currents[c, d] . x, for each point's coefficients;
         # one Hamiltonian term at a time keeps the temporaries small
         self.currents = np.array([
@@ -373,7 +366,7 @@ class BlockEngine:
         finite = np.ones(n, dtype=bool)
         for b in blocks:
             finite &= np.isfinite(b).all(axis=(1, 2))
-        drop(~finite, "non_finite", lambda k: "generator has non-finite entries")
+        drop(~finite, "non_finite", lambda k: NON_FINITE_GENERATOR)
 
         # The full generator's second-smallest singular value: the null block
         # holds the null vector, and each other block's smallest counts.
@@ -387,18 +380,19 @@ class BlockEngine:
         # Null vector: replace one diagonal row by the trace condition. The
         # diagonal rows sum to zero (L preserves the trace), so the row
         # dropped is implied by the rest.
-        pinned = self.diagonal[0]
+        diagonal = self.layout.diagonal
+        pinned = diagonal[0]
         system = blocks[0][alive].copy()
         system[:, pinned, :] = 0.0
-        system[:, pinned, self.diagonal] = 1.0
+        system[:, pinned, diagonal] = 1.0
         rhs = np.zeros(system.shape[:2] + (1,), dtype=complex)
         rhs[:, pinned] = 1.0
         x, singular = _batched_solve(system, rhs)
         drop(singular, "singular", lambda k: "no steady state: the trace-pinned null-space system is singular")
         x = x[~singular, :, 0]
 
-        x = 0.5 * (x + x[:, self.partner].conj())
-        tr = x[:, self.diagonal].sum(axis=1).real
+        x = 0.5 * (x + x[:, self.layout.partner].conj())
+        tr = x[:, diagonal].sum(axis=1).real
         unit_trace = np.abs(tr) / np.linalg.norm(x, axis=1)
         keep = unit_trace >= NULL_TRACE_FLOOR
         drop(~keep, "zero_trace", lambda k: _ZERO_TRACE)
@@ -410,9 +404,7 @@ class BlockEngine:
         x = x[keep]
         residual = residual[keep]
 
-        rho = np.zeros((len(x), DIM * DIM), dtype=complex)
-        rho[:, self.index[0]] = x
-        rho = unvec(rho)
+        rho = self.layout.matrices(x)
         problems = [_state_violation(*d) for d in zip(*_state_defects(rho))]
         keep = np.array([p is None for p in problems], dtype=bool)
         drop(~keep, "invalid_state", lambda k: _INVALID_STATE + problems[k])
@@ -489,7 +481,7 @@ class StateSupport:
     """
 
     def __init__(self, index: np.ndarray, dim: int) -> None:
-        self.index = index
+        self.index, self.dim = index, dim
         row, col = (vec(m)[index] for m in np.indices((dim, dim)))  # x[s] = rho[row[s], col[s]]
         where = np.full(dim * dim, len(index))  # position of each vec entry in [x, 0]
         where[index] = np.arange(len(index))
@@ -498,28 +490,25 @@ class StateSupport:
         self.diagonal = np.flatnonzero(row == col)
         link = np.zeros((dim, dim), dtype=bool)
         link[row, col] = True
-        components = connected_components(link)
-        by_size: dict[int, list[np.ndarray]] = {}
-        for levels in components:
-            by_size.setdefault(len(levels), []).append(where[np.ix_(levels, levels)])
-        self.blocks = [np.array(gathers) for gathers in by_size.values()]  # (count, k, k) positions each
+        self.components = connected_components(link)  # the levels of each block
         # every block at once, padded to the largest with zero rows and columns, which add eigenvalues 0;
         # (k, k, count) positions, so that a gather holds each entry of every block and state in one row
-        largest = max(map(len, components))
-        self.squares = np.full((largest, largest, len(components)), len(index))
-        for b, levels in enumerate(components):
+        largest = max(map(len, self.components))
+        self.squares = np.full((largest, largest, len(self.components)), len(index))
+        for b, levels in enumerate(self.components):
             self.squares[: len(levels), : len(levels), b] = where[np.ix_(levels, levels)]
 
-    def defects(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``_state_defects`` of the states that a stack of support vectors (n, len(index)) stands for."""
-        herm, tr_err = self.hermiticity_and_trace(x)
-        padded = _padded(x)
-        min_eig = np.min([np.linalg.eigvalsh(padded[:, b]).min(axis=(1, 2)) for b in self.blocks], axis=0)
-        return herm, tr_err, min_eig
+    def matrices(self, x: np.ndarray) -> np.ndarray:
+        """The dim x dim states that support vectors stand for; a stack (n, len(index)) gives a stack."""
+        full = np.zeros(x.shape[:-1] + (self.dim * self.dim,), dtype=complex)
+        full[..., self.index] = x
+        return unvec(full)
 
     def hermiticity_and_trace(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The first two of ``defects``: each state's Hermiticity defect and trace error."""
-        herm = np.abs(x - _padded(x)[:, self.partner].conj()).max(axis=1)
+        """Each state's Hermiticity defect and trace error, as ``_state_defects``, for a stack of support vectors."""
+        # an entry off the support reads the appended zero column
+        partner = np.concatenate([x, np.zeros((len(x), 1), dtype=x.dtype)], axis=1)[:, self.partner]
+        herm = np.abs(x - partner.conj()).max(axis=1)
         return herm, np.abs(x[:, self.diagonal].sum(axis=1) - 1.0)
 
     def bounded_below(self, x: np.ndarray, floor: float) -> np.ndarray:
@@ -547,11 +536,6 @@ class StateSupport:
         return ok.all(axis=0) & np.isfinite(x).all(axis=1)
 
 
-def _padded(x: np.ndarray) -> np.ndarray:
-    """A stack of support vectors with a zero column appended, where a gather of an entry off the support reads."""
-    return np.concatenate([x, np.zeros((len(x), 1), dtype=x.dtype)], axis=1)
-
-
 _SAMPLE_CHECKS = ("hermiticity defect {:.3e}", "trace drift {:.3e}", "negative eigenvalue {:.3e}")
 
 
@@ -562,7 +546,8 @@ def _first_bad_sample(x: np.ndarray, support: StateSupport) -> tuple[int, str] |
     order finite, Hermitian, trace drift, smallest eigenvalue; the failed
     ones are listed in that order. None if all states pass. The smallest
     eigenvalue is decided by ``StateSupport.bounded_below``, and only the
-    first failing state's ``defects`` are measured, to word the message.
+    first failing state's full matrix is measured, by ``_state_defects``, to
+    word the message.
     The states from the first non-finite one on are not measured, so a
     blow-up never reaches LAPACK.
     """
@@ -573,9 +558,9 @@ def _first_bad_sample(x: np.ndarray, support: StateSupport) -> tuple[int, str] |
     failing = np.flatnonzero(np.logical_or.reduce(bad))
     if failing.size:
         k = int(failing[0])
-        values = support.defects(x[k: k + 1])
+        values = _state_defects(support.matrices(x[k]))
         return k, ", ".join(
-            message.format(value[0]) for failed, message, value in zip(bad, _SAMPLE_CHECKS, values) if failed[k]
+            message.format(value) for failed, message, value in zip(bad, _SAMPLE_CHECKS, values) if failed[k]
         )
     return None if n == len(x) else (n, "state is not finite")
 
@@ -672,9 +657,7 @@ def trajectory(
             raise IntegrationError(
                 f"integration failed at t={(i * steps + check_steps[k]) * dt:.4g}: {problem}; try a smaller dt_max"
             )
-        full = np.zeros(v0.size, dtype=complex)
-        full[support.index] = checked[-1]
-        rho = unvec(full)
+        rho = support.matrices(checked[-1])
         drift = abs(np.trace(rho) - 1.0)
         if drift > TRACE_DRIFT_TOL:
             raise IntegrationError(f"trace drifted by {drift:.3e} over the run; try a smaller dt_max")

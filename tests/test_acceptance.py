@@ -4,6 +4,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the verdict lines.
 The three sweep grids come from the shipped configs under scripts/.
 """
 
+import csv
 import dataclasses
 import time
 from pathlib import Path
@@ -26,10 +27,11 @@ from triheat import (
 )
 from triheat.cli import cli_main
 from triheat.config import load_sweep
-from triheat.sweep import grid_points, run_sweep
+from triheat.sweep import emit_csv, grid_points, run_sweep
 from conftest import TRANSFER_PARAMS, product_gibbs, random_hermitian, solve
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+RESULTS = Path(__file__).resolve().parents[1] / "results"
 GRID_NAMES = ("transfer_curve", "output_curves", "coupling_gate_map")
 
 
@@ -269,3 +271,28 @@ def test_10_sweep_determinism_across_threads(tmp_path):
     ok = outputs[0] == outputs[1] == outputs[2]
     assert verdict(10, "bit-identical sweep output regardless of threads",
                    ok, f"{len(outputs[0])} bytes compared")
+
+
+def test_11_figure_sweeps_reproduce_the_committed_results(figure_grids, tmp_path):
+    # The residual column is not compared: it differs between BLAS builds.
+    currents = ("j_l", "j_m", "j_r")
+    deviation = {}
+    for name in GRID_NAMES:
+        spec, rows, _ = figure_grids[name]
+        emit_csv(rows, spec, tmp_path / f"{name}.csv")
+        ours, committed = (
+            list(csv.DictReader(path.read_text(encoding="utf-8").splitlines()))
+            for path in (tmp_path / f"{name}.csv", RESULTS / f"{name}.csv")
+        )
+        assert len(ours) == len(committed) and list(ours[0]) == list(committed[0])
+        exact = [c for c in committed[0] if c not in (*currents, "residual", "status")]
+        for row, ref in zip(ours, committed):
+            assert row["status"] == ref["status"] == "ok"
+            assert all(float(row[c]) == float(ref[c]) for c in exact), (name, row, ref)
+        scale = max(abs(float(ref[c])) for ref in committed for c in currents)
+        deviation[name] = max(
+            abs(float(row[c]) - float(ref[c])) for row, ref in zip(ours, committed) for c in currents
+        ) / scale
+    ok = all(d <= 1e-12 for d in deviation.values())
+    assert verdict(11, "figure sweeps reproduce results/*.csv", ok,
+                   ", ".join(f"{name} {d:.1e} max|J|" for name, d in deviation.items()))

@@ -1,11 +1,11 @@
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from triheat import DensityMatrix, bath_channels, build_superoperator, evolve, load_params, total_hamiltonian
-from triheat import solvers
 from triheat.cli import cli_main, main
 from triheat.observables import bath_currents
 
@@ -239,13 +239,15 @@ class TestCheck:
         assert cli_main(["check", "--config", str(point_cfg)]) == 0
         assert "solver agreement" in capsys.readouterr().out
 
-    def test_does_not_build_the_block_engine(self, monkeypatch, capsys):
-        # check runs the SVD oracle and takes the spectrum block by block
-        def refuse():
-            raise AssertionError("check built the block engine")
+    def test_does_not_call_the_svd_oracle(self, monkeypatch, capsys):
+        # check solves on the block engine and takes the spectrum from its blocks;
+        # the SVD steady_state is the tests' oracle only
+        def refuse(liouvillian):
+            raise AssertionError("check called the SVD steady_state")
 
-        monkeypatch.setattr(solvers, "block_engine", refuse)
+        monkeypatch.setattr("triheat.cli.steady_state", refuse)
         assert cli_main(["check"]) == 0
+        assert capsys.readouterr().out.count(": ok (") == 6
 
     def test_non_finite_parameter_is_named(self, tmp_path, capsys):
         text = (SCRIPTS / "transfer_curve.cfg").read_text(encoding="utf-8")
@@ -255,6 +257,24 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "t_l must be finite" in err
         assert "Traceback" not in err
+
+
+class TestNonFiniteGenerator:
+    @pytest.mark.parametrize("command", ["steady", "check", "evolve"])
+    def test_is_named_without_a_warning(self, tmp_path, capsys, command):
+        # the hot bath's occupation is about 1e10, so kappa_l * (n + 1) overflows to inf
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(
+            POINT_CFG.replace("kappa_l = 0.05", "kappa_l = 1e300").replace("t_l = 2.0", "t_l = 1e10"),
+            encoding="utf-8",
+        )
+        out = tmp_path / "trace.csv"
+        argv = [command, "--config", str(cfg), *(["--out", str(out)] if command == "evolve" else [])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(argv) == 1
+        assert capsys.readouterr().err == "error: generator has non-finite entries\n"
+        assert not out.exists()
 
 
 class TestUsage:

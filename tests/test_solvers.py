@@ -36,7 +36,6 @@ from triheat.solvers import (
     StateSupport,
     _first_bad_sample,
     _state_defects,
-    block_eigenvalues,
     block_engine,
     connected_components,
     current_rows,
@@ -383,7 +382,7 @@ class TestStateSupport:
     def test_maximally_mixed_blocks(self):
         support = StateSupport(invariant_support(transfer_liouvillian().matrix, vec(np.eye(12))), 12)
         assert len(support.index) == 26
-        assert sorted(b.shape[1] for b in support.blocks for _ in b) == [1, 1, 1, 1, 2, 3, 3]
+        assert sorted(map(len, support.components)) == [1, 1, 1, 1, 2, 3, 3]
 
     @pytest.mark.parametrize("layout", ["mixed-support", "partial-cover"])
     def test_checks_match_the_full_matrix_form(self, rng, layout):
@@ -407,9 +406,6 @@ class TestStateSupport:
 
         states = block_diagonal_states(rng, components, 40)
         assert compare(states) is None
-        # a level no entry touches is a zero row, so an eigenvalue 0 of the full matrix
-        for ours, full in zip(support.defects(vec_stack(states)[:, support.index]), _state_defects(states)):
-            np.testing.assert_allclose(ours, full, rtol=0, atol=1e-14)
         for k in (0, 17, 39):
             bad = states.copy()
             # a negative eigenvalue in one block, with the trace kept by another
@@ -448,7 +444,7 @@ class TestStateSupport:
         for levels in components:
             pattern[np.ix_(levels, levels)] = True
         support = StateSupport(np.flatnonzero(vec(pattern)), 12)
-        assert {b.shape[1] for b in support.blocks} == ({1, 2, 3} if len(components) == 3 else {12})
+        assert set(map(len, support.components)) == ({1, 2, 3} if len(components) == 3 else {12})
 
         states = []
         for levels in components:  # each block in turn holds the smallest eigenvalue
@@ -751,11 +747,14 @@ class TestConnectedComponents:
 class TestBlockEigenvalues:
     @pytest.mark.parametrize("case", ["default", "transfer", "uncoupled"])
     def test_gap_and_radius_match_the_full_spectrum(self, case):
+        # triheat check's horizon and step come from the kept blocks' eigenvalues;
+        # each dropped mirror block holds their complex conjugates
         p = {"default": DEFAULT_PARAMS, "transfer": TRANSFER_PARAMS,
              "uncoupled": dataclasses.replace(TRANSFER_PARAMS, g_lm=0.0, g_mr=0.0)}[case]
         matrix = build_superoperator(total_hamiltonian(p), bath_channels(p)).matrix
-        ours, full = block_eigenvalues(matrix), np.linalg.eigvals(matrix)
-        assert len(ours) == 144
+        blocks = block_engine().assemble(np.array([generator_coefficients(p)]))
+        ours, full = np.concatenate([np.linalg.eigvals(b[0]) for b in blocks]), np.linalg.eigvals(matrix)
+        assert len(ours) == sum(block_engine().sizes) == 85
         gaps = [-np.max(ev.real[np.abs(ev) > 1e-8]) for ev in (ours, full)]
         radii = [np.max(np.abs(ev)) for ev in (ours, full)]
         assert gaps[0] == pytest.approx(gaps[1], rel=1e-10)
