@@ -35,7 +35,13 @@ which one each is kept. Each block lies inside one coherence order
 N(a) - N(b), the excitation-number symmetry the chain's H and jumps
 respect. So a chunk of points is assembled with one matrix product, its
 null vectors come from one batched solve on the 26-row block, and every
-check ``steady_state`` makes is kept per point with the same bound.
+check ``steady_state`` makes is kept per point with the same bound. The
+uniqueness gap is the null block's second singular value or a kept
+coherence block's smallest, whichever is lower. The null block's SVD always
+runs; a coherence block's runs only at the points where Johnson's lower
+bound on its smallest singular value, read off its entries, does not clear
+the gap so far. On the shipped figure grids that is no point, so a chunk
+takes one SVD, and the gap is the one the SVDs of every block would give.
 """
 
 from __future__ import annotations
@@ -70,8 +76,10 @@ RESIDUAL_TOL = 1e-10  # ||L vec(rho)|| of the trace-normalized steady state
 TRACE_DRIFT_TOL = 1e-9
 NULL_TRACE_FLOOR = 1e-8  # |trace| of the unit-norm null vector below this: no state
 BALANCE_TOL = 1e-10  # |J_L + J_M + J_R| <= BALANCE_TOL * max(1, max|J|)
-# Points per batched solve. Chunks of 8 to 128 ran at the same speed, and
-# larger ones only hold more memory.
+# Points per batched solve. A warm pass over the three figure sweeps (one
+# BLAS thread, medians of 24 interleaved passes) took 0.37, 0.32, 0.29, 0.28
+# and 0.31 s at 8, 16, 32, 64 and 128 points. It stays at 16 all the same:
+# the size of the assembly product can change its rounding, and so the outputs.
 CHUNK = 16
 
 
@@ -184,6 +192,7 @@ def steady_state(liouvillian: Liouvillian) -> SteadyStateResult:
 _NON_UNIQUE = "non-unique steady state: second singular value {:.3e} below " + f"{DEGENERACY_TOL:.1e}"
 _ZERO_TRACE = "no steady state at tolerance: null vector has near-zero trace"
 _RESIDUAL = "no steady state at tolerance: residual {:.3e} > {:.1e}"  # RESIDUAL_TOL is formatted in on raise
+_RESIDUAL_OVERFLOW = "no steady state: the residual overflows; the generator's entries are too large"
 _INVALID_STATE = "steady state violates state invariants: "
 _UNBALANCED = "steady-state currents do not balance: sum {:.3e}"
 
@@ -324,6 +333,13 @@ class BlockEngine:
         column[positions] = np.arange(len(positions))
         flat = np.concatenate([np.add.outer(idx * DIM * DIM, idx).ravel() for idx in self.index])
         self.terms = np.take(np.concatenate([values, np.zeros((len(values), 1))], axis=1), column[flat], axis=1)
+        # the kept coherence blocks' entries side by side, each block row by row, for singular_floors
+        entries = [np.arange(lo, hi).reshape(m, m) - self.bounds[1]
+                   for lo, hi, m in zip(self.bounds[1:-1], self.bounds[2:], self.sizes[1:])]
+        self.row_starts = np.concatenate([e[:, 0] for e in entries])
+        self.diagonal_entries = np.concatenate([np.diagonal(e) for e in entries])
+        self.transposed_entries = np.concatenate([e.T.ravel() for e in entries])  # each block's columns as rows
+        self.block_rows = np.cumsum([0] + self.sizes[1:-1])
 
         idx0 = self.index[0]
         # the null block is its own mirror, so every partner lies in the block
@@ -344,6 +360,31 @@ class BlockEngine:
             flat[:, lo:hi].reshape(-1, m, m)
             for lo, hi, m in zip(self.bounds[:-1], self.bounds[1:], self.sizes)
         ]
+
+    def singular_floors(self, blocks: list[np.ndarray]) -> np.ndarray:
+        """Per point, a lower bound on each coherence block's smallest singular value, exact or computed.
+
+        One row per point and one column per kept block after the null block.
+        Johnson's bound (Linear Algebra Appl. 112, 1 (1989)): sigma_min(B) >=
+        min_i (|b_ii| - (r_i + c_i) / 2), where r_i and c_i are the absolute
+        sums of row i and column i off the diagonal. It is lowered by 8 m eps
+        times the block's largest |b_ii| + r_i + c_i, which bounds ||B||_2:
+        that covers the rounding of the sums, about 2 m eps of it, and the
+        error of a computed SVD, a modest multiple of eps ||B||_2. Where a
+        magnitude overflows, the floor is -inf or NaN, never a number that
+        rules a block out. Every block of every point is bounded at once,
+        from the blocks' entries side by side.
+        """
+        n = len(blocks[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = np.abs(np.concatenate([b.reshape(n, b.shape[-1] ** 2) for b in blocks[1:]], axis=1))
+            diagonal = a[:, self.diagonal_entries]
+            a[:, self.diagonal_entries] = 0.0
+            off = (np.add.reduceat(a, self.row_starts, axis=1)
+                   + np.add.reduceat(a[:, self.transposed_entries], self.row_starts, axis=1))
+            floor = np.minimum.reduceat(diagonal - 0.5 * off, self.block_rows, axis=1)
+            size = np.maximum.reduceat(diagonal + off, self.block_rows, axis=1)
+            return floor - 8 * np.finfo(float).eps * np.array(self.sizes[1:]) * size
 
     def solve_blocks(self, blocks: list[np.ndarray], coef: np.ndarray) -> list[PointSolve]:
         """Steady states from assembled blocks; a point that fails any check fails alone.
@@ -369,11 +410,14 @@ class BlockEngine:
         drop(~finite, "non_finite", lambda k: NON_FINITE_GENERATOR)
 
         # The full generator's second-smallest singular value: the null block
-        # holds the null vector, and each other block's smallest counts.
-        s0 = np.linalg.svd(blocks[0][alive], compute_uv=False)
-        gap = s0[:, -2]
-        for b in blocks[1:]:
-            gap = np.minimum(gap, np.linalg.svd(b[alive], compute_uv=False)[:, -1])
+        # holds the null vector, and each other block's smallest counts. The
+        # gap is a minimum, so a block is measured only at the points where
+        # its floor does not clear the gap so far.
+        gap = np.linalg.svd(blocks[0][alive], compute_uv=False)[:, -2]
+        for b, floor in zip(blocks[1:], self.singular_floors(blocks)[alive].T):
+            measure = np.flatnonzero(~(floor > gap))
+            if measure.size:
+                gap[measure] = np.minimum(gap[measure], np.linalg.svd(b[alive[measure]], compute_uv=False)[:, -1])
         gaps[alive] = gap
         drop(~(gap >= DEGENERACY_TOL), "non_unique", lambda k: _NON_UNIQUE.format(gap[k]))
 
@@ -398,9 +442,11 @@ class BlockEngine:
         drop(~keep, "zero_trace", lambda k: _ZERO_TRACE)
         x = x[keep] / tr[keep, None]
 
-        residual = np.linalg.norm(np.einsum("nij,nj->ni", blocks[0][alive], x), axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # finite entries can still overflow the product
+            residual = np.linalg.norm(np.einsum("nij,nj->ni", blocks[0][alive], x), axis=1)
         keep = residual <= RESIDUAL_TOL
-        drop(~keep, "residual", lambda k: _RESIDUAL.format(residual[k], RESIDUAL_TOL))
+        drop(~keep, "residual",
+             lambda k: _RESIDUAL.format(residual[k], RESIDUAL_TOL) if np.isfinite(residual[k]) else _RESIDUAL_OVERFLOW)
         x = x[keep]
         residual = residual[keep]
 
@@ -629,7 +675,10 @@ def trajectory(
     support = StateSupport(invariant_support(liouvillian.matrix, v0), rho0.dim)
     hl = dt * liouvillian.matrix[np.ix_(support.index, support.index)]
     eye = np.eye(len(support.index))
-    step = eye + hl @ (eye + (hl / 2) @ (eye + (hl / 3) @ (eye + hl / 4)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = eye + hl @ (eye + (hl / 2) @ (eye + (hl / 3) @ (eye + hl / 4)))
+    if not np.isfinite(step).all():
+        raise IntegrationError(f"the RK4 step matrix is not finite: the generator times the step {dt:.3g} overflows")
 
     check_every = max(1, steps // 200)
     check_steps = [*range(check_every, steps, check_every), steps]  # the last stride may be shorter

@@ -1,3 +1,4 @@
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -274,6 +275,25 @@ class TestNonFiniteGenerator:
             warnings.simplefilter("error")
             assert cli_main(argv) == 1
         assert capsys.readouterr().err == "error: generator has non-finite entries\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, message", [
+        ("steady", "no steady state: the residual overflows; the generator's entries are too large"),
+        ("check", "no steady state: the residual overflows; the generator's entries are too large"),
+        ("evolve", "the RK4 step matrix is not finite: the generator times the step 0.01 overflows"),
+    ], ids=["steady", "check", "evolve"])
+    def test_finite_generator_that_overflows_is_named(self, tmp_path, capsys, command, message):
+        # every entry is finite, but products with kappa_m = 1e308 overflow
+        # in the residual and in the RK4 step matrix
+        text = (SCRIPTS / "transfer_curve.cfg").read_text(encoding="utf-8")
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(re.sub(r"(?m)^kappa_m = .*$", "kappa_m = 1e308", text), encoding="utf-8")
+        out = tmp_path / "trace.csv"
+        argv = [command, "--config", str(cfg), *(["--out", str(out)] if command == "evolve" else [])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
 

@@ -517,15 +517,15 @@ class TestSolverAgreement:
             assert trace_distance(evolved, reference) <= 1e-6
 
 
-def seeded_points(seed=2027, count=48):
-    """Resonant and detuned levels, g = 0 on every fourth, T in [0.01, 30], kappa in [1e-5, 0.1]."""
+def seeded_points(seed=2027, count=48, t_min=0.01):
+    """Resonant and detuned levels, g = 0 on every fourth, T in [t_min, 30], kappa in [1e-5, 0.1]."""
     rng = np.random.default_rng(seed)
     points = []
     for i in range(count):
         e1, e2, e4 = (1.0, 1.0, 1.0) if i % 2 == 0 else rng.uniform(0.6, 1.6, 3)
         g = (0.0, 0.0) if i % 4 == 1 else rng.uniform(0.0, 0.3, 2)
         kappa = 10.0 ** rng.uniform(-5.0, -1.0, 3)
-        temps = 10.0 ** rng.uniform(-2.0, math.log10(30.0), 3)
+        temps = 10.0 ** rng.uniform(math.log10(t_min), math.log10(30.0), 3)
         points.append(SystemParams(
             e1=float(e1), e2=float(e2), e3=float(e2 + rng.uniform(0.8, 2.2)), e4=float(e4),
             g_lm=float(g[0]), g_mr=float(g[1]),
@@ -581,6 +581,48 @@ class TestBlockEngine:
                                  compute_uv=False)
             (ours,) = steady_states([p])
             assert ours.gap == pytest.approx(full[-2], rel=1e-10)
+
+    def test_gap_gate_measures_every_block_that_could_lower_the_gap(self, monkeypatch):
+        # detuned levels, g up to 0.3, T down to 5e-4 and kappa down to 1e-5,
+        # and the slow points of the test above: some coherence blocks there
+        # lie near or below the null block's second singular value
+        slow = [
+            SystemParams(e1=e, e2=e, e3=3 * e, e4=e, g_lm=g, g_mr=g, kappa_l=0.1, kappa_m=0.1, kappa_r=0.1,
+                         t_l=t, t_m=t, t_r=t)
+            for e, g, t in ((1e-3, 1e-4, 1e-5), (0.05, 0.01, 0.005))
+        ]
+        points = seeded_points(seed=14, count=48, t_min=5e-4) + slow
+        engine = block_engine()
+        blocks = engine.assemble(np.array([generator_coefficients(p) for p in points]))
+        smallest = np.stack([np.linalg.svd(b, compute_uv=False)[:, -1] for b in blocks[1:]], axis=1)
+        assert np.all(engine.singular_floors(blocks) <= smallest)
+        ungated = np.minimum(np.linalg.svd(blocks[0], compute_uv=False)[:, -2], smallest.min(axis=1))
+
+        measured = []  # the points each coherence-block SVD of the engine is given
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            if a.shape[-1] != engine.sizes[0]:
+                measured.append(len(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        solved = steady_states(points)
+        monkeypatch.undo()
+        assert [s.gap for s in solved] == ungated.tolist()
+        # both branches: some (point, block) pairs are measured and some ruled out
+        assert 0 < sum(measured) < (len(engine.sizes) - 1) * len(points)
+
+    def test_overflowing_floor_rules_nothing_out(self):
+        engine = block_engine()
+        blocks = engine.assemble(np.array([generator_coefficients(p) for p in seeded_points(count=2)]))
+        blocks[1][1, 0, 0] = 1.7e308 * (1 + 1j)  # its magnitude overflows
+        blocks[2][1, 0, 1] = blocks[2][1, 0, 2] = 1.7e308  # so does the row's sum
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            floors = engine.singular_floors(blocks)
+        assert not np.isfinite(floors[1, :2]).any() and not (floors[1, :2] > -np.inf).any()
+        assert np.isfinite(floors[0]).all() and np.isfinite(floors[1, 2:]).all()
 
     def test_affine_blocks_match_the_generator(self):
         engine = block_engine()
