@@ -23,7 +23,7 @@ import numpy as np
 from .config import ConfigError, load_params, load_sweep
 from .lindblad import rhs_apply, unvec, vec
 from .model import SystemParams, gibbs_state
-from .observables import IMAG_RESIDUE, IMAG_TOL, reduced_populations
+from .observables import reduced_populations
 from .solvers import (
     BALANCE_TOL,
     EIG_FLOOR,
@@ -33,7 +33,6 @@ from .solvers import (
     SteadyStateError,
     block_engine,
     chain_liouvillian,
-    current_rows,
     evolve,
     generator_coefficients,
     steady_states,
@@ -43,8 +42,8 @@ from .solvers import (
 from .sweep import STATUS_OK, emit_csv, run_sweep
 from .svgplot import check_plot, emit_plot
 
-# The generators come from solvers.chain_liouvillian, evolve's currents from
-# solvers.current_rows and every steady state from solvers.steady_states.
+# The generators come from solvers.chain_liouvillian, every current from the
+# block engine and every steady state from solvers.steady_states.
 # perfbench's tracer wraps these names on this module, and its tests require
 # each of them to exist.
 from .lindblad import build_superoperator  # noqa: F401
@@ -122,17 +121,16 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     liou = chain_liouvillian(params)
     states = trajectory(DensityMatrix.maximally_mixed(liou.dim), liou, args.t_final, args.samples, args.dt_max)
     times = np.linspace(0.0, args.t_final, args.samples + 1)
-    # every sample's currents in one product, each checked as heat_current checks it
-    rows = current_rows(params)
-    read = np.flatnonzero(rows.any(axis=0))  # the entries of vec(rho) the currents depend on
-    currents = np.array([vec(state.mat)[read] for state in states]) @ rows[:, read].T
-    residue = currents.imag.ravel()
-    over = np.flatnonzero(np.abs(residue) > IMAG_TOL)
-    if over.size:
-        raise ValueError("heat_current: " + IMAG_RESIDUE.format(residue[over[0]], IMAG_TOL))
+    # every sample's currents at once, by the engine's formula; its functionals read only the null block
+    engine = block_engine()
+    x = np.array([vec(state.mat)[engine.layout.index] for state in states])
+    currents, problems = engine.heat_currents(np.array([generator_coefficients(params)]), x)
+    problem = next(filter(None, problems), None)
+    if problem is not None:
+        raise ValueError("heat_current: " + problem)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("t,j_l,j_m,j_r\n")
-        for t, cur in zip(times, currents.real):
+        for t, cur in zip(times, currents):
             fh.write(",".join(format(v, ".17g") for v in (t, *cur)) + "\n")
     print(f"wrote {len(times)} samples to {args.out}")
     return 0

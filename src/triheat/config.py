@@ -38,7 +38,8 @@ _SECTIONS = {
     "temperatures": ("t_l", "t_m", "t_r"),
 }
 _FIELD_SECTION = {name: sec for sec, names in _SECTIONS.items() for name in names}
-_DERIVED_NAMES = ("t_l", "t_m", "t_r")
+# The variables a derived-column expression may read: the fields of each grid point of these names.
+DERIVED_NAMES = ("t_l", "t_m", "t_r")
 _BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv}
 
 
@@ -92,7 +93,7 @@ def _check_node(node: ast.expr) -> None:
     elif isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
         pass
     elif isinstance(node, ast.Name):
-        if node.id not in _DERIVED_NAMES:
+        if node.id not in DERIVED_NAMES:
             raise ConfigError(f"unknown name {node.id!r} in derived expression")
     else:
         raise ConfigError(f"unsupported syntax in derived expression: {ast.dump(node)}")
@@ -122,7 +123,7 @@ def compile_derived(name: str, expression: str) -> DerivedColumn:
         try:
             return _eval_node(tree.body, env)
         except ZeroDivisionError:
-            at = ", ".join(f"{n} = {env[n]!r}" for n in _DERIVED_NAMES)
+            at = ", ".join(f"{n} = {env[n]!r}" for n in DERIVED_NAMES)
             raise ConfigError(f"derived column {name!r} ({expression}) divides by zero at {at}") from None
 
     return DerivedColumn(name=name, expression=expression, fn=fn)

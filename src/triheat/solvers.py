@@ -13,9 +13,7 @@ next interval with one matrix product. ``evolve`` is its one-interval case.
 The state checks run on the support's entries and on the diagonal blocks
 the support splits the state into, and positivity is decided from the
 blocks' LDL^H pivots with elementwise operations rather than measured with
-a LAPACK call per matrix. ``current_functionals`` states the heat
-currents as linear functionals of vec(rho), from the same term table, for
-``triheat evolve`` and the engine alike. The test suite cross-checks the two
+a LAPACK call per matrix. The test suite cross-checks the two
 algorithms against each other, checks ``evolve`` against explicit RK4
 steps and ``trajectory`` against a loop of ``evolve`` calls, and checks
 the matrix itself against the operator form ``rhs_apply``.
@@ -42,12 +40,20 @@ runs; a coherence block's runs only at the points where Johnson's lower
 bound on its smallest singular value, read off its entries, does not clear
 the gap so far. On the shipped figure grids that is no point, so a chunk
 takes one SVD, and the gap is the one the SVDs of every block would give.
+With more than one thread, a pool maps the same chunks.
+
+Every heat current of the CLI, ``triheat evolve``'s included, comes from
+``BlockEngine.heat_currents``, whose linear functionals of vec(rho), one
+per Hamiltonian and dissipator term, read only the null block. It is the
+one place on the CLI's paths where a current's imaginary residue is held
+to ``IMAG_TOL``; the tests' operator form ``bath_currents`` holds its own.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -162,7 +168,7 @@ def steady_state(liouvillian: Liouvillian) -> SteadyStateResult:
     The smallest right singular vector is reshaped, Hermitized and
     trace-normalized. Raises SteadyStateError if the null space is
     degenerate (second singular value below ``DEGENERACY_TOL``), if the
-    residual ||L vec(rho)|| is above ``RESIDUAL_TOL``, if the resulting
+    residual ||L vec(rho)|| is above ``RESIDUAL_TOL`` or overflows, if the resulting
     state violates the density matrix invariants, or if its currents do not
     balance within ``BALANCE_TOL``.
     """
@@ -175,9 +181,12 @@ def steady_state(liouvillian: Liouvillian) -> SteadyStateResult:
     if abs(tr) < NULL_TRACE_FLOOR:
         raise SteadyStateError(_ZERO_TRACE, "zero_trace")
     rho = rho / tr
-    residual = float(np.linalg.norm(liouvillian.matrix @ vec(rho)))
-    if residual > RESIDUAL_TOL:
-        raise SteadyStateError(_RESIDUAL.format(residual, RESIDUAL_TOL), "residual")
+    with np.errstate(over="ignore", invalid="ignore"):  # finite entries can still overflow the product
+        residual = float(np.linalg.norm(liouvillian.matrix @ vec(rho)))
+    if not residual <= RESIDUAL_TOL:
+        raise SteadyStateError(
+            _RESIDUAL.format(residual, RESIDUAL_TOL) if math.isfinite(residual) else _RESIDUAL_OVERFLOW, "residual"
+        )
     try:
         state = DensityMatrix(rho)
     except ValueError as exc:
@@ -201,15 +210,23 @@ _UNBALANCED = "steady-state currents do not balance: sum {:.3e}"
 class PointSolve:
     """One point of a batched solve: its state, residual and currents, or the failed check.
 
-    ``gap`` is the second-smallest singular value of the generator (NaN when
-    the point failed before it was measured).
+    ``x`` is the state's support vector on the engine's null block, and
+    ``rho`` scatters it into the 12 x 12 state. A sweep holds every point's
+    solve until its rows are made, and 26 entries take a fifth of the memory
+    of 144. ``gap`` is the second-smallest singular value of the generator
+    (NaN when the point failed before it was measured).
     """
 
-    rho: np.ndarray | None = None
+    x: np.ndarray | None = None
     residual: float = math.nan
     currents: HeatCurrents | None = None
     gap: float = math.nan
     error: SteadyStateError | None = None
+
+    @property
+    def rho(self) -> np.ndarray | None:
+        """The steady state as a dim x dim matrix, or None when the point failed."""
+        return None if self.x is None else block_engine().layout.matrices(self.x)
 
     def result(self) -> SteadyStateResult:
         """The validated result, or the point's SteadyStateError raised."""
@@ -252,35 +269,6 @@ def chain_liouvillian(p: SystemParams) -> Liouvillian:
 _BATH_TERMS = np.array([
     [CHANNEL_LABELS[d // 2] in labels for d in range(2 * len(CHANNEL_LABELS))] for labels in BATHS.values()
 ])
-
-
-def current_functionals(h_weight: np.ndarray, d_weight: np.ndarray) -> np.ndarray:
-    """Rows f over vec(rho) with -Tr(H D[rho]) = f . vec(rho), from ``generator_table``.
-
-    H = sum_c h_weight[..., c] H_c over the six Hamiltonian terms and D =
-    sum_d d_weight[..., d] S_d over the eight dissipator terms of
-    ``generator_coefficients``; the two weights broadcast against each
-    other. Tr(H X) = vec(H^T) . vec(X), so f = -vec(H^T) D, summed from the
-    table's entries column by column. A heat current J_P is f with the
-    point's coefficients and d_weight kept to the bath's own terms.
-    """
-    positions, values = generator_table()
-    row, col = np.divmod(positions, DIM * DIM)
-    h_rows = np.array([vec(h.T)[row] for h in hamiltonian_terms()])
-    entries = -(h_weight @ h_rows) * (d_weight @ values[len(HAMILTONIAN_FIELDS):])
-    rows = np.zeros(entries.shape[:-1] + (DIM * DIM,), dtype=complex)
-    np.add.at(rows, (..., col), entries)
-    return rows
-
-
-def current_rows(p: SystemParams) -> np.ndarray:
-    """The currents J_L, J_M, J_R at one point as three ``current_functionals`` rows.
-
-    (rows @ vec(rho)).real are the currents ``bath_currents`` computes in
-    operator form; the imaginary part is round-off.
-    """
-    coef = np.array(generator_coefficients(p))
-    return current_functionals(coef[: len(HAMILTONIAN_FIELDS)], _BATH_TERMS * coef[len(HAMILTONIAN_FIELDS):])
 
 
 def connected_components(link: np.ndarray) -> list[np.ndarray]:
@@ -341,15 +329,35 @@ class BlockEngine:
         self.transposed_entries = np.concatenate([e.T.ravel() for e in entries])  # each block's columns as rows
         self.block_rows = np.cumsum([0] + self.sizes[1:-1])
 
-        idx0 = self.index[0]
         # the null block is its own mirror, so every partner lies in the block
-        self.layout = StateSupport(idx0, DIM)
-        # J_P = sum_c sum_{d in P} coef_c coef_d * currents[c, d] . x, for each point's coefficients;
-        # one Hamiltonian term at a time keeps the temporaries small
-        self.currents = np.array([
-            current_functionals(h_weight, np.eye(_BATH_TERMS.shape[1]))[:, idx0]
-            for h_weight in np.eye(len(HAMILTONIAN_FIELDS))
-        ])
+        self.layout = StateSupport(self.index[0], DIM)
+        # functionals[c, d] . vec(rho) = -Tr(H_c S_d[rho]) for Hamiltonian term c and dissipator term d:
+        # Tr(H X) = vec(H^T) . vec(X), summed from the table's entries column by column. Every nonzero
+        # column lies in the null block. One Hamiltonian term at a time keeps the temporaries small.
+        row, col = np.divmod(positions, DIM * DIM)
+        dissipators = values[len(HAMILTONIAN_FIELDS):]
+        functionals = []
+        for h in hamiltonian_terms():
+            rows = np.zeros((len(dissipators), DIM * DIM), dtype=complex)
+            np.add.at(rows, (..., col), -vec(h.T)[row] * dissipators)
+            functionals.append(rows[:, self.index[0]])
+        self.functionals = np.array(functionals)
+
+    def heat_currents(self, coef: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
+        """The currents J_L, J_M, J_R of states given as null-block support vectors, and each one's residue problem.
+
+        ``coef`` holds each state's 14 generator coefficients, one row per
+        state or one row for all. J_P = sum_c sum_{d in P} coef_c coef_d *
+        functionals[c, d] . x, exact for any state, since no functional
+        reads an entry outside the null block. Returns the real currents, one
+        row per state, and per state None, or the ``IMAG_RESIDUE`` message
+        when its largest imaginary residue is not within ``IMAG_TOL``.
+        """
+        h_coef, d_coef = coef[:, : len(HAMILTONIAN_FIELDS)], coef[:, len(HAMILTONIAN_FIELDS):]
+        terms = np.einsum("cdk,nk->ncd", self.functionals, x) * h_coef[:, :, None] * d_coef[:, None, :]
+        currents = np.stack([terms[:, :, bath].sum(axis=(1, 2)) for bath in _BATH_TERMS], axis=1)
+        imag = np.abs(currents.imag).max(axis=1)
+        return currents.real, [None if r <= IMAG_TOL else IMAG_RESIDUE.format(r, IMAG_TOL) for r in imag]
 
     def assemble(self, coef: np.ndarray) -> list[np.ndarray]:
         """The (n, m, m) stacks of the kept blocks, null block first, for an (n, 14) coefficient array."""
@@ -454,16 +462,12 @@ class BlockEngine:
         problems = [_state_violation(*d) for d in zip(*_state_defects(rho))]
         keep = np.array([p is None for p in problems], dtype=bool)
         drop(~keep, "invalid_state", lambda k: _INVALID_STATE + problems[k])
-        x, rho, residual = x[keep], rho[keep], residual[keep]
+        x, residual = x[keep], residual[keep]
 
-        w = coef[alive]
-        h_coef, d_coef = w[:, : len(HAMILTONIAN_FIELDS)], w[:, len(HAMILTONIAN_FIELDS):]
-        terms = np.einsum("cdk,nk->ncd", self.currents, x) * h_coef[:, :, None] * d_coef[:, None, :]
-        currents = np.stack([terms[:, :, bath].sum(axis=(1, 2)) for bath in _BATH_TERMS], axis=1)
-        imag = np.abs(currents.imag).max(axis=1)
-        keep = imag <= IMAG_TOL
-        drop(~keep, "imaginary_current", lambda k: "heat current " + IMAG_RESIDUE.format(imag[k], IMAG_TOL))
-        currents, rho, residual = currents[keep].real, rho[keep], residual[keep]
+        currents, problems = self.heat_currents(coef[alive], x)
+        keep = np.array([p is None for p in problems], dtype=bool)
+        drop(~keep, "imaginary_current", lambda k: "heat current " + problems[k])
+        currents, x, residual = currents[keep], x[keep], residual[keep]
 
         imbalance = np.abs(currents.sum(axis=1))
         keep = imbalance <= BALANCE_TOL * np.maximum(1.0, np.abs(currents).max(axis=1))
@@ -471,7 +475,7 @@ class BlockEngine:
 
         out = [PointSolve(gap=float(gaps[k]), error=errors[k]) for k in range(n)]
         for i, k in zip(np.flatnonzero(keep), alive):
-            out[k] = PointSolve(rho[i], float(residual[i]), HeatCurrents(*map(float, currents[i])), float(gaps[k]))
+            out[k] = PointSolve(x[i], float(residual[i]), HeatCurrents(*map(float, currents[i])), float(gaps[k]))
         return out
 
 
@@ -497,21 +501,29 @@ def block_engine() -> BlockEngine:
     return BlockEngine()
 
 
-def steady_states(points: Sequence[SystemParams]) -> list[PointSolve]:
+def steady_states(points: Sequence[SystemParams], threads: int = 1) -> list[PointSolve]:
     """Steady states of many points, solved in chunks of ``CHUNK`` by the block engine.
 
     The checks and bounds are ``steady_state``'s, the residual bound
     ``RESIDUAL_TOL`` included. A point that fails a check gets a
     ``PointSolve`` whose ``error`` names the check; the others are
-    unaffected. ``steady_state`` is the reference.
+    unaffected. ``steady_state`` is the reference. With more than one
+    thread, a pool of that many maps the same chunks, and the results come
+    back in the order of ``points``, so they never depend on the thread count.
     """
-    engine = block_engine()
-    out: list[PointSolve] = []
-    for start in range(0, len(points), CHUNK):
-        chunk = points[start: start + CHUNK]
-        coef = np.array([generator_coefficients(p) for p in chunk])
-        out += engine.solve_blocks(engine.assemble(coef), coef)
-    return out
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
+    engine = block_engine()  # built before the pool starts, so that the workers share one
+
+    def solve(start: int) -> list[PointSolve]:
+        coef = np.array([generator_coefficients(p) for p in points[start: start + CHUNK]])
+        return engine.solve_blocks(engine.assemble(coef), coef)
+
+    starts = range(0, len(points), CHUNK)
+    if threads == 1:
+        return [solved for chunk in map(solve, starts) for solved in chunk]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return [solved for chunk in pool.map(solve, starts) for solved in chunk]
 
 
 class StateSupport:

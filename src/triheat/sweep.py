@@ -1,25 +1,23 @@
 """Parameter-sweep engine: grid evaluation, deterministic ordering, CSV output.
 
-The grid is cut into fixed chunks of ``CHUNK`` points, and each chunk is
-one batched solve of the block engine (``steady_states``). With more than
-one thread, a bounded pool maps the same chunks, and the rows are
-reassembled in grid order (axis2-major, axis1 fastest), so the output never
-depends on the thread count. Derived columns are evaluated on the whole
-grid before any solve. Failed solves are kept as rows with status
-'solver_failed' and the name of the check that failed, never dropped.
+The whole grid, in grid order (axis2-major, axis1 fastest), is one call
+of the block engine ``steady_states``, which cuts it into fixed chunks and
+maps them over its thread pool; the rows never depend on the thread count.
+Derived columns are evaluated on the whole grid before any solve. Failed
+solves are kept as rows with status 'solver_failed' and the name of the
+check that failed, never dropped.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .config import SweepSpec
+from .config import DERIVED_NAMES, SweepSpec
 from .model import BATHS, SystemParams
-from .solvers import CHUNK, PointSolve, steady_states
+from .solvers import PointSolve, steady_states
 
 # The per-point path is no longer called here. perfbench's tracer wraps these
 # names on this module, and its tests require each of them to exist.
@@ -74,23 +72,12 @@ def _row(params: SystemParams, derived: dict[str, float], solved: PointSolve) ->
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
     """Evaluate the whole grid; output order is independent of thread count."""
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
     points = grid_points(spec)
-    derived = [
-        {c.name: c.fn({"t_l": p.t_l, "t_m": p.t_m, "t_r": p.t_r}) for c in spec.derived}
-        for p in points
-    ]
-
-    def solve_chunk(start: int) -> list[SweepRow]:
-        chunk = points[start: start + CHUNK]
-        return list(map(_row, chunk, derived[start: start + CHUNK], steady_states(chunk)))
-
-    starts = range(0, len(points), CHUNK)
-    if threads == 1:
-        return [row for rows in map(solve_chunk, starts) for row in rows]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return [row for rows in pool.map(solve_chunk, starts) for row in rows]
+    derived = []
+    for p in points:
+        env = {name: getattr(p, name) for name in DERIVED_NAMES}
+        derived.append({c.name: c.fn(env) for c in spec.derived})
+    return list(map(_row, points, derived, steady_states(points, threads)))
 
 
 def csv_columns(spec: SweepSpec) -> list[str]:

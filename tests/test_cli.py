@@ -138,6 +138,13 @@ class TestSweep:
         assert captured.err.startswith(f"error: {message}") and captured.out == ""
         assert not out.exists()
 
+    def test_no_threads_exits_with_reason(self, small_sweep_cfg, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        assert cli_main(["sweep", "--config", str(small_sweep_cfg), "--out", str(out), "--threads", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: threads must be at least 1\n" and captured.out == ""
+        assert not out.exists()
+
     def test_deterministic_across_threads(self, small_sweep_cfg, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert cli_main(["sweep", "--config", str(small_sweep_cfg), "--out", str(a), "--threads", "1"]) == 0

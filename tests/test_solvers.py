@@ -16,6 +16,7 @@ from triheat import (
     build_superoperator,
     chain_liouvillian,
     evolve,
+    hamiltonian_terms,
     occupation,
     rhs_apply,
     steady_state,
@@ -38,7 +39,6 @@ from triheat.solvers import (
     _state_defects,
     block_engine,
     connected_components,
-    current_rows,
     generator_coefficients,
     invariant_support,
 )
@@ -117,6 +117,21 @@ class TestSteadyState:
         liou = build_superoperator(total_hamiltonian(p), bath_channels(p))
         with pytest.raises(SteadyStateError, match=r"^no steady state at tolerance: residual .* > 1\.0e-18$") as exc:
             steady_state(liou)
+        assert exc.value.reason == "residual"
+
+    @pytest.mark.parametrize("inputs", ["kappa_m", "temperatures", "couplings", "energies"])
+    def test_overflowing_residual_is_named_without_a_warning(self, inputs):
+        # every generator entry is finite, but ||L vec(rho)|| overflows; the
+        # engine names the first three the same way and solves the fourth
+        p = TRANSFER_PARAMS
+        p = {
+            "kappa_m": dataclasses.replace(p, kappa_m=1e308),
+            "temperatures": dataclasses.replace(p, t_l=1e300, t_m=1e300, t_r=1e300),
+            "couplings": dataclasses.replace(p, g_lm=1e200, g_mr=1e200),
+            "energies": dataclasses.replace(p, e1=1e200, e2=1e200, e3=3e200, e4=1e200),
+        }[inputs]
+        with pytest.raises(SteadyStateError, match=f"^{re.escape(solvers._RESIDUAL_OVERFLOW)}$") as exc:
+            steady_state(chain_liouvillian(p))
         assert exc.value.reason == "residual"
 
     def test_unique_at_figure_operating_points(self):
@@ -719,6 +734,23 @@ class TestBlockEngine:
         solved = steady_states(points)
         assert [s.error.reason if s.error else "ok" for s in solved] == ["ok", "non_finite", "ok"]
 
+    def test_threads_match_one_thread_over_three_chunks(self):
+        # 40 points are chunks of 16, 16 and 8; the point with every rate below
+        # the degeneracy bound fails in the middle chunk
+        points = seeded_points(count=40)
+        points[20] = dataclasses.replace(TRANSFER_PARAMS, kappa_l=1e-12, kappa_m=1e-12, kappa_r=1e-12)
+        serial, threaded = steady_states(points, threads=1), steady_states(points, threads=3)
+        assert [s.error.reason if s.error else "ok" for s in serial].count("non_unique") == 1
+        assert serial[20].error is not None
+        assert repr(threaded) == repr(serial)
+        for a, b in zip(serial, threaded):
+            assert (a.rho is None and b.rho is None) or a.rho.tobytes() == b.rho.tobytes()
+
+    def test_threads_below_one_are_rejected_before_any_solve(self, monkeypatch):
+        monkeypatch.setattr(solvers, "block_engine", lambda: pytest.fail("solved with no threads"))
+        with pytest.raises(ValueError, match="^threads must be at least 1$"):
+            steady_states([TRANSFER_PARAMS], threads=0)
+
     def test_batch_of_one_result_is_a_density_matrix(self):
         (solved,) = steady_states([TRANSFER_PARAMS])
         result = solved.result()
@@ -753,11 +785,28 @@ class TestGeneratorTable:
 
 
 class TestCurrentTable:
+    def test_functionals_are_zero_outside_the_null_block(self):
+        # -vec(H_c^T) S_d over all 144 entries of vec(rho), from dense terms: every
+        # column the engine drops is exactly zero, so its currents hold for any state
+        engine = block_engine()
+        positions, values = solvers.generator_table()
+        dissipators = np.zeros((8, 144 * 144), dtype=complex)
+        dissipators[:, positions] = values[6:]
+        h_rows = np.array([vec(h.T) for h in hamiltonian_terms()])
+        full = -np.einsum("ci,dij->cdj", h_rows, dissipators.reshape(8, 144, 144))
+        assert full.shape == (6, 8, 144)
+        outside = np.setdiff1d(np.arange(144), engine.index[0])
+        assert np.max(np.abs(full[..., outside])) == 0.0
+        assert np.count_nonzero(full.any(axis=(0, 1))) == 20
+        inside = full[..., engine.index[0]]
+        assert np.max(np.abs(engine.functionals - inside)) <= 1e-15 * np.max(np.abs(inside))
+
     @pytest.mark.parametrize("start", ["mixed", "random"])
-    def test_matches_bath_currents_on_every_trajectory_sample(self, rng, start):
+    def test_matches_bath_currents_on_every_trajectory_sample(self, rng, monkeypatch, start):
         # resonant and detuned levels, g = 0 on every fourth point, and the
         # same points at T = 5e-4, where n = 0 in all four channels; the
         # random start fills all 144 entries of vec(rho)
+        engine = block_engine()
         points = seeded_points(count=8)
         points += [dataclasses.replace(p, t_l=5e-4, t_m=5e-4, t_r=5e-4) for p in points]
         worst = 0.0
@@ -765,15 +814,27 @@ class TestCurrentTable:
             liou = chain_liouvillian(p)
             rho0 = DensityMatrix.maximally_mixed(12) if start == "mixed" else DensityMatrix(random_density(rng, 12))
             states = trajectory(rho0, liou, 50.0, 10, 0.05)
-            ours = np.array([vec(s.mat) for s in states]) @ current_rows(p).T
             expected = [bath_currents(liou.hamiltonian, liou.channels, s.mat) for s in states]
             expected = np.array([[c.j_l, c.j_m, c.j_r] for c in expected])
             scale = np.max(np.abs(expected))
-            assert np.max(np.abs(ours.imag)) <= 1e-13 * scale, p
-            worst = max(worst, np.max(np.abs(ours.real - expected)) / scale)
-        # measured 5.6e-15 from the mixed start and 1.6e-14 from the random one, whose
+            # the engine's own imaginary-residue check, at this test's bound
+            monkeypatch.setattr(solvers, "IMAG_TOL", 1e-13 * scale)
+            x = np.array([vec(s.mat)[engine.layout.index] for s in states])
+            ours, problems = engine.heat_currents(np.array([generator_coefficients(p)]), x)
+            assert problems == [None] * len(states), p
+            worst = max(worst, np.max(np.abs(ours - expected)) / scale)
+        # measured 4.4e-15 from the mixed start and 2.4e-14 from the random one, whose
         # (c, d) terms reach about 20 times the largest current and cancel
         assert worst <= 1e-13
+
+    def test_residue_over_the_bound_is_flagged_per_state(self, monkeypatch):
+        engine = block_engine()
+        (solved,) = steady_states([TRANSFER_PARAMS])
+        x = np.array([solved.x, solved.x + 1e-3j * (np.arange(len(solved.x)) % 3 == 0)])  # the second is not Hermitian
+        currents, problems = engine.heat_currents(np.array([generator_coefficients(TRANSFER_PARAMS)]), x)
+        assert currents.dtype == float and currents.shape == (2, 3)
+        assert problems[0] is None
+        assert re.fullmatch(r"imaginary residue \S+ exceeds 1\.0e-11; inputs are numerically inconsistent", problems[1])
 
 
 class TestConnectedComponents:
