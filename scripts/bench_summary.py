@@ -13,6 +13,10 @@ of BENCHMARK.json is summarised per workload: each side's runs, median and
 quartiles, and how many pairs each side won (ties count for neither). The
 environment of each workload's first parent record is written beside it,
 and the failed operations of both sides are summed.
+
+The script exits 1 without writing when a workload's two sides hold
+different numbers of records, or when the two records of a pair differ in
+any environment field: such pairs would compare unlike runs.
 """
 
 from __future__ import annotations
@@ -46,7 +50,15 @@ def spread(values: list[float]) -> dict:
 def summarise(parent: dict[str, list[dict]], change: dict[str, list[dict]], metrics: list[dict]) -> dict:
     workloads = {}
     for workload in sorted(parent.keys() & change.keys()):
+        if len(parent[workload]) != len(change[workload]):
+            raise ValueError(f"{workload}: the parent has {len(parent[workload])} records and the change "
+                             f"{len(change[workload])}; every run must have a pair")
         pairs = list(zip(parent[workload], change[workload]))
+        for i, (p, c) in enumerate(pairs):
+            for key in sorted(p["environment"].keys() | c["environment"].keys()):
+                if p["environment"].get(key) != c["environment"].get(key):
+                    raise ValueError(f"{workload}: pair {i}: environment field {key!r} differs: "
+                                     f"parent {p['environment'].get(key)!r}, change {c['environment'].get(key)!r}")
         if len(pairs) < 2:
             raise ValueError(f"{workload}: {len(pairs)} pair(s); quartiles need at least 2")
         summary = {

@@ -25,12 +25,12 @@ from .lindblad import rhs_apply, unvec, vec
 from .model import SystemParams, gibbs_state
 from .observables import reduced_populations
 from .solvers import (
-    BALANCE_TOL,
     EIG_FLOOR,
     RESIDUAL_TOL,
     DensityMatrix,
     IntegrationError,
     SteadyStateError,
+    balanced,
     block_engine,
     chain_liouvillian,
     evolve,
@@ -153,8 +153,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     report("steady-state residual", result.residual <= RESIDUAL_TOL, f"residual {result.residual:.3e}")
 
     cur = result.currents
-    bound = BALANCE_TOL * max(1.0, max(abs(cur.j_l), abs(cur.j_m), abs(cur.j_r)))
-    report("current conservation", abs(cur.total()) <= bound, f"|J_L+J_M+J_R| = {abs(cur.total()):.3e}")
+    ok = bool(balanced(np.array([cur.j_l, cur.j_m, cur.j_r])))
+    report("current conservation", ok, f"|J_L+J_M+J_R| = {abs(cur.total()):.3e}")
 
     min_eig = float(np.linalg.eigvalsh(result.state.mat).min())
     report("positivity", min_eig >= EIG_FLOOR, f"min eigenvalue {min_eig:.3e}")
@@ -176,10 +176,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
     dist = trace_distance(free_result.state.mat, expected)
     report("uncoupled thermalization", dist <= 1e-10, f"trace distance {dist:.3e}")
 
-    # the engine's kept blocks; each dropped mirror block has the conjugates of its kept block's eigenvalues
+    # the engine's kept blocks; each dropped mirror block has the conjugates of its kept block's eigenvalues.
+    # The solve certified the second singular value, so exactly one eigenvalue is zero: the least in modulus.
     blocks = block_engine().assemble(np.array([generator_coefficients(params)]))
     ev = np.concatenate([np.linalg.eigvals(b[0]) for b in blocks])
-    gap = -np.max(ev.real[np.abs(ev) > 1e-8])
+    gap = -np.max(np.delete(ev.real, np.argmin(np.abs(ev))))
     t_final = float(min(max(18.0 / gap, 200.0), 5e4))
     dt = float(min(0.05, 1.5 / np.max(np.abs(ev))))
     evolved = evolve(DensityMatrix.maximally_mixed(h.shape[0]), liou, t_final=t_final, dt_max=dt)

@@ -12,9 +12,13 @@ Format (all values in units of the qubit spacing):
                         dT_MR = t_m - t_r
                     out, plot, plot_x, plot_y, plot_style   (optional)
 
-Derived columns are arithmetic expressions over the three bath temperatures
-t_l, t_m, t_r, evaluated per grid point at output time. Files are read as
-UTF-8.
+Derived columns are arithmetic over the three bath temperatures t_l, t_m,
+t_r: + - * /, unary + and -, parentheses, and int or float numbers, which
+are read as floats. Python compiles each expression once, at load, and
+evaluates it per grid point in float arithmetic. Anything else, an integer
+too large for a float, or an expression too deep to parse or compile is a
+ConfigError at load that names the column; a zero divisor is one when the
+grid is evaluated, before any solve. Files are read as UTF-8.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from __future__ import annotations
 import ast
 import configparser
 import math
-import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -40,7 +43,8 @@ _SECTIONS = {
 _FIELD_SECTION = {name: sec for sec, names in _SECTIONS.items() for name in names}
 # The variables a derived-column expression may read: the fields of each grid point of these names.
 DERIVED_NAMES = ("t_l", "t_m", "t_r")
-_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv}
+# The derived-column grammar: these nodes, the names in DERIVED_NAMES, and int or float constants.
+_DERIVED_NODES = (ast.Expression, ast.Load, ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.UnaryOp, ast.UAdd, ast.USub)
 
 
 class ConfigError(ValueError):
@@ -83,45 +87,32 @@ class SweepSpec:
     plot_style: str | None = None
 
 
-def _check_node(node: ast.expr) -> None:
-    """Reject anything but arithmetic over t_l/t_m/t_r, without evaluating."""
-    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-        _check_node(node.left)
-        _check_node(node.right)
-    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        _check_node(node.operand)
-    elif isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-        pass
-    elif isinstance(node, ast.Name):
-        if node.id not in DERIVED_NAMES:
-            raise ConfigError(f"unknown name {node.id!r} in derived expression")
-    else:
-        raise ConfigError(f"unsupported syntax in derived expression: {ast.dump(node)}")
-
-
-def _eval_node(node: ast.expr, env: dict[str, float]) -> float:
-    """Evaluate a tree that ``_check_node`` accepted."""
-    if isinstance(node, ast.BinOp):
-        return _BINOPS[type(node.op)](_eval_node(node.left, env), _eval_node(node.right, env))
-    if isinstance(node, ast.UnaryOp):
-        val = _eval_node(node.operand, env)
-        return -val if isinstance(node.op, ast.USub) else val
-    if isinstance(node, ast.Constant):
-        return float(node.value)
-    return env[node.id]
-
-
 def compile_derived(name: str, expression: str) -> DerivedColumn:
-    """Compile a derived-column expression restricted to t_l/t_m/t_r arithmetic."""
+    """Check an expression against the derived-column grammar, read its constants as floats, and compile it."""
     try:
         tree = ast.parse(expression, mode="eval")
-    except SyntaxError as exc:
-        raise ConfigError(f"cannot parse derived column {name!r}: {expression!r}") from exc
-    _check_node(tree.body)
+    except (SyntaxError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot parse derived column {name!r}: {exc}") from exc
+    for node in ast.walk(tree):  # iterative, so no depth limit
+        if isinstance(node, _DERIVED_NODES) or isinstance(node, ast.Name) and node.id in DERIVED_NAMES:
+            continue
+        if isinstance(node, ast.Name):
+            raise ConfigError(f"derived column {name!r}: unknown name {node.id!r} in derived expression")
+        if not (isinstance(node, ast.Constant) and isinstance(node.value, (int, float))):
+            what = f"constant {node.value!r}" if isinstance(node, ast.Constant) else type(node).__name__
+            raise ConfigError(f"derived column {name!r}: unsupported syntax in derived expression: {what}")
+        try:
+            node.value = float(node.value)
+        except OverflowError as exc:
+            raise ConfigError(f"derived column {name!r}: an integer constant is too large for a float") from exc
+    try:
+        code = compile(tree, f"<derived column {name}>", "eval")
+    except (SyntaxError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot compile derived column {name!r}: {exc}") from exc
 
     def fn(env: dict[str, float]) -> float:
         try:
-            return _eval_node(tree.body, env)
+            return eval(code, {"__builtins__": {}}, env)
         except ZeroDivisionError:
             at = ", ".join(f"{n} = {env[n]!r}" for n in DERIVED_NAMES)
             raise ConfigError(f"derived column {name!r} ({expression}) divides by zero at {at}") from None

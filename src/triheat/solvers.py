@@ -81,12 +81,17 @@ DEGENERACY_TOL = 1e-10
 RESIDUAL_TOL = 1e-10  # ||L vec(rho)|| of the trace-normalized steady state
 TRACE_DRIFT_TOL = 1e-9
 NULL_TRACE_FLOOR = 1e-8  # |trace| of the unit-norm null vector below this: no state
-BALANCE_TOL = 1e-10  # |J_L + J_M + J_R| <= BALANCE_TOL * max(1, max|J|)
+BALANCE_TOL = 1e-10  # see balanced
 # Points per batched solve. A warm pass over the three figure sweeps (one
 # BLAS thread, medians of 24 interleaved passes) took 0.37, 0.32, 0.29, 0.28
 # and 0.31 s at 8, 16, 32, 64 and 128 points. It stays at 16 all the same:
 # the size of the assembly product can change its rounding, and so the outputs.
 CHUNK = 16
+
+
+def balanced(currents: np.ndarray) -> np.ndarray:
+    """Whether |J_L + J_M + J_R| <= BALANCE_TOL * max(1, max|J|), per (..., 3) row; a NaN imbalance fails."""
+    return np.abs(currents.sum(axis=-1)) <= BALANCE_TOL * np.maximum(1.0, np.abs(currents).max(axis=-1))
 
 
 class SteadyStateError(RuntimeError):
@@ -192,9 +197,8 @@ def steady_state(liouvillian: Liouvillian) -> SteadyStateResult:
     except ValueError as exc:
         raise SteadyStateError(f"{_INVALID_STATE}{exc}", "invalid_state") from exc
     currents = bath_currents(liouvillian.hamiltonian, liouvillian.channels, rho)
-    imbalance = abs(currents.total())
-    if imbalance > BALANCE_TOL * max(1.0, max(abs(currents.j_l), abs(currents.j_m), abs(currents.j_r))):
-        raise SteadyStateError(_UNBALANCED.format(imbalance), "unbalanced")
+    if not balanced(np.array([currents.j_l, currents.j_m, currents.j_r])):
+        raise SteadyStateError(_UNBALANCED.format(abs(currents.total())), "unbalanced")
     return SteadyStateResult(state=state, residual=residual, currents=currents)
 
 
@@ -469,9 +473,8 @@ class BlockEngine:
         drop(~keep, "imaginary_current", lambda k: "heat current " + problems[k])
         currents, x, residual = currents[keep], x[keep], residual[keep]
 
-        imbalance = np.abs(currents.sum(axis=1))
-        keep = imbalance <= BALANCE_TOL * np.maximum(1.0, np.abs(currents).max(axis=1))
-        drop(~keep, "unbalanced", lambda k: _UNBALANCED.format(imbalance[k]))
+        keep = balanced(currents)
+        drop(~keep, "unbalanced", lambda k: _UNBALANCED.format(abs(currents[k].sum())))
 
         out = [PointSolve(gap=float(gaps[k]), error=errors[k]) for k in range(n)]
         for i, k in zip(np.flatnonzero(keep), alive):

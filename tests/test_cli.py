@@ -257,6 +257,21 @@ class TestCheck:
         assert cli_main(["check"]) == 0
         assert capsys.readouterr().out.count(": ok (") == 6
 
+    def test_tiny_scale_prints_every_verdict(self, tmp_path, capsys):
+        # energies, couplings, rates and temperatures near 1e-9: the spectral gap
+        # is below any fixed cut-off on |eigenvalue|, so check finds the zero
+        # eigenvalue as the one of least modulus
+        values = {"e1": 1e-9, "e2": 1e-9, "e3": 3e-9, "e4": 1e-9, "g_lm": 1e-10, "g_mr": 1e-10,
+                  "kappa_l": 1e-9, "kappa_m": 1e-9, "kappa_r": 1e-9, "t_l": 2e-9, "t_m": 1e-10, "t_r": 5e-10}
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(re.sub(r"(?m)^(\w+) = .*$", lambda m: f"{m[1]} = {values[m[1]]!r}", POINT_CFG), encoding="utf-8")
+        code = cli_main(["check", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        verdicts = re.findall(r"(?m)^check [a-z -]+: (ok|FAIL) \(.*\)$", captured.out)
+        assert len(verdicts) == 6 and verdicts[:5] == ["ok"] * 5
+        assert code == (1 if "FAIL" in verdicts else 0)
+        assert captured.err == ""
+
     def test_non_finite_parameter_is_named(self, tmp_path, capsys):
         text = (SCRIPTS / "transfer_curve.cfg").read_text(encoding="utf-8")
         bad = tmp_path / "inf.cfg"

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from triheat import (
     chain_liouvillian,
     evolve,
     hamiltonian_terms,
+    load_params,
     occupation,
     rhs_apply,
     steady_state,
@@ -45,6 +47,7 @@ from triheat.solvers import (
 from triheat.observables import bath_currents
 from conftest import TRANSFER_PARAMS, product_gibbs, random_density, random_hermitian, solve
 
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 QUBIT_LOWER = np.array([[0, 1], [0, 0]], dtype=complex)
 
 
@@ -707,7 +710,26 @@ class TestBlockEngine:
         with pytest.raises(SteadyStateError, match=r"residual .* > 1\.0e-40$"):
             solved[0].result()
 
-    @pytest.mark.parametrize("inject, reason", [("nan", "non_finite"), ("singular", "singular")])
+    def test_unreachable_balance_fails_every_point_as_unbalanced(self, monkeypatch):
+        # the engine and the oracle decide conservation by one function, which reads the bound at call time
+        monkeypatch.setattr(solvers, "BALANCE_TOL", 1e-40)
+        points = seeded_points(count=4)
+        solved = steady_states(points)
+        assert [s.error.reason for s in solved] == ["unbalanced"] * 4
+        unbalanced = r"^steady-state currents do not balance: sum \d\.\d{3}e[-+]\d+$"
+        with pytest.raises(SteadyStateError, match=unbalanced):
+            solved[0].result()
+        for p in points:
+            with pytest.raises(SteadyStateError, match=unbalanced) as exc:
+                solve(p)
+            assert exc.value.reason == "unbalanced"
+
+    def test_balance_check_fails_a_nan_imbalance(self):
+        currents = np.array([[1.0, -0.5, -0.5], [1.0, -1.0, 1e-11], [1.0, -1.0, 1e-9], [np.nan, 0.0, 0.0]])
+        assert solvers.balanced(currents).tolist() == [True, True, False, False]
+
+    @pytest.mark.parametrize("inject, reason", [("nan", "non_finite"), ("singular", "singular"),
+                                                ("indefinite", "invalid_state")])
     def test_bad_matrix_fails_alone(self, inject, reason):
         engine = block_engine()
         points = seeded_points(count=5)
@@ -715,6 +737,12 @@ class TestBlockEngine:
         blocks = engine.assemble(coef)
         if inject == "nan":
             blocks[1][2, 0, 0] = np.nan
+        elif inject == "indefinite":
+            # a projector whose null vector has unit trace, a clear gap and a
+            # negative population: every check before the state's passes
+            x = np.zeros(blocks[0].shape[1], dtype=complex)
+            x[engine.layout.diagonal[:3]] = 0.7, 0.5, -0.2
+            blocks[0][2] = np.eye(len(x)) - np.outer(x, x.conj()) / np.vdot(x, x).real
         else:
             # a null vector of zero trace (a coherence) with a clear spectral
             # gap: the trace-pinned system is exactly singular
@@ -723,6 +751,9 @@ class TestBlockEngine:
         solved = engine.solve_blocks(blocks, coef)
         reference = steady_states(points)
         assert solved[2].error is not None and solved[2].error.reason == reason
+        if inject == "indefinite":
+            assert str(solved[2].error) == ("steady state violates state invariants: "
+                                            "density matrix has negative eigenvalue -2.000e-01")
         for k in (0, 1, 3, 4):
             assert solved[k].error is None
             assert solved[k].currents == reference[k].currents
@@ -848,17 +879,25 @@ class TestConnectedComponents:
 
 
 class TestBlockEigenvalues:
-    @pytest.mark.parametrize("case", ["default", "transfer", "uncoupled"])
+    @pytest.mark.parametrize("case", ["default", "transfer", "uncoupled", "coupling_map_x1e-6"])
     def test_gap_and_radius_match_the_full_spectrum(self, case):
         # triheat check's horizon and step come from the kept blocks' eigenvalues;
-        # each dropped mirror block holds their complex conjugates
+        # each dropped mirror block holds their complex conjugates. At a millionth
+        # of the coupling map's scales the gap is about 2e-9, so no fixed cut-off
+        # on |eigenvalue| could tell the zero eigenvalue apart
+        coupling = load_params(SCRIPTS / "coupling_gate_map.cfg")
         p = {"default": DEFAULT_PARAMS, "transfer": TRANSFER_PARAMS,
-             "uncoupled": dataclasses.replace(TRANSFER_PARAMS, g_lm=0.0, g_mr=0.0)}[case]
+             "uncoupled": dataclasses.replace(TRANSFER_PARAMS, g_lm=0.0, g_mr=0.0),
+             "coupling_map_x1e-6": SystemParams(*(1e-6 * v for v in dataclasses.astuple(coupling)))}[case]
         matrix = build_superoperator(total_hamiltonian(p), bath_channels(p)).matrix
         blocks = block_engine().assemble(np.array([generator_coefficients(p)]))
         ours, full = np.concatenate([np.linalg.eigvals(b[0]) for b in blocks]), np.linalg.eigvals(matrix)
         assert len(ours) == sum(block_engine().sizes) == 85
-        gaps = [-np.max(ev.real[np.abs(ev) > 1e-8]) for ev in (ours, full)]
+        # check's rule: the solve certified a unique steady state, so the one
+        # eigenvalue of least modulus is the zero one
+        gaps = [-np.max(np.delete(ours.real, np.argmin(np.abs(ours)))), -np.sort(full.real)[-2]]
+        if case == "coupling_map_x1e-6":
+            assert 1e-9 < gaps[1] < 1e-8
         radii = [np.max(np.abs(ev)) for ev in (ours, full)]
         assert gaps[0] == pytest.approx(gaps[1], rel=1e-10)
         assert radii[0] == pytest.approx(radii[1], rel=1e-10)

@@ -140,9 +140,38 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown name"):
             compile_derived("bad", "t_m - kappa_l")
 
-    def test_derived_rejects_calls(self):
-        with pytest.raises(ConfigError):
-            compile_derived("bad", "__import__('os').getcwd()")
+    @pytest.mark.parametrize("expression", [
+        "__import__('os').getcwd()",
+        "t_m.real",
+        "t_m[0]",
+        "(lambda: t_m)()",
+        "t_m if t_l else t_r",
+        "'t_m'",
+    ], ids=["import", "attribute", "subscript", "lambda_call", "conditional", "string"])
+    def test_derived_rejects_calls(self, expression):
+        with pytest.raises(ConfigError, match="^derived column 'bad': unsupported syntax"):
+            compile_derived("bad", expression)
+
+    def test_derived_constants_are_floats(self):
+        # int literals are read as floats, so the arithmetic is float arithmetic:
+        # 2**53 + 1 rounds to 2**53 before the product, not after it
+        col = compile_derived("x", "9007199254740993 * 3 + t_l")
+        assert col.fn({"t_l": 0.0, "t_m": 0.0, "t_r": 0.0}) == 9007199254740992.0 * 3.0 != float(9007199254740993 * 3)
+
+    @pytest.mark.parametrize("expression, why", [
+        ("1" + "0" * 400 + " * t_m", "an integer constant is too large for a float"),
+        (" + ".join(["t_m"] * 3000), "maximum recursion depth exceeded"),
+    ], ids=["400_digit_literal", "3000_term_sum"])
+    def test_derived_that_cannot_be_compiled_fails_at_load(self, tmp_path, monkeypatch, capsys, expression, why):
+        path = tmp_path / "big.cfg"
+        path.write_text(DERIVED_ONLY_CFG.format(f"big = {expression}"), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"derived column 'big'.*{why}"):
+            load_sweep(path)
+        monkeypatch.setattr(triheat.sweep, "steady_states", lambda *args, **kw: pytest.fail("solved"))
+        assert cli_main(["sweep", "--config", str(path), "--out", str(tmp_path / "big.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "derived column 'big'" in err and "Traceback" not in err
+        assert not (tmp_path / "big.csv").exists()
 
     def test_derived_arithmetic(self):
         col = compile_derived("x", "2 * t_m - (t_r + 1.0)")
