@@ -21,7 +21,7 @@ from .model import (
     total_hamiltonian,
     transition_ops,
 )
-from .observables import HeatCurrents, bath_currents, heat_current, partial_trace, reduced_populations
+from .observables import HeatCurrents, bath_currents, heat_current, reduced_populations
 from .solvers import (
     DensityMatrix,
     IntegrationError,

@@ -10,15 +10,15 @@ Format (all values in units of the qubit spacing):
                     axis2 = ...                (optional)
                     derived =                  (optional, one per line)
                         dT_MR = t_m - t_r
-                    out, plot, plot_x, plot_y, plot_style   (optional)
+                    out, plot, plot_x, plot_y  (optional; the grid picks the plot style)
 
 Derived columns are arithmetic over the three bath temperatures t_l, t_m,
-t_r: + - * /, unary + and -, parentheses, and int or float numbers, which
-are read as floats. Python compiles each expression once, at load, and
-evaluates it per grid point in float arithmetic. Anything else, an integer
-too large for a float, or an expression too deep to parse or compile is a
-ConfigError at load that names the column; a zero divisor is one when the
-grid is evaluated, before any solve. Files are read as UTF-8.
+t_r: + - * /, unary + and -, parentheses, and int or float numbers, which are
+read as floats. Python compiles each expression once, at load, and evaluates
+it per grid point in float arithmetic. Anything else, a number that is not a
+finite float, or an expression too deep to parse or compile is a ConfigError
+at load that names the column; a zero divisor or a non-finite value at a grid
+point is one before any solve. Files are read as UTF-8; other keys are ignored.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ class SweepSpec:
     plot_path: str | None = None
     plot_x: str | None = None
     plot_y: str = "j_l"
-    plot_style: str | None = None
 
 
 def compile_derived(name: str, expression: str) -> DerivedColumn:
@@ -105,6 +104,8 @@ def compile_derived(name: str, expression: str) -> DerivedColumn:
             node.value = float(node.value)
         except OverflowError as exc:
             raise ConfigError(f"derived column {name!r}: an integer constant is too large for a float") from exc
+        if not math.isfinite(node.value):
+            raise ConfigError(f"derived column {name!r}: a float constant is not finite ({node.value!r})")
     try:
         code = compile(tree, f"<derived column {name}>", "eval")
     except (SyntaxError, ValueError, RecursionError) as exc:
@@ -112,10 +113,14 @@ def compile_derived(name: str, expression: str) -> DerivedColumn:
 
     def fn(env: dict[str, float]) -> float:
         try:
-            return eval(code, {"__builtins__": {}}, env)
+            value = eval(code, {"__builtins__": {}}, env)
         except ZeroDivisionError:
-            at = ", ".join(f"{n} = {env[n]!r}" for n in DERIVED_NAMES)
-            raise ConfigError(f"derived column {name!r} ({expression}) divides by zero at {at}") from None
+            value = None
+        if value is not None and math.isfinite(value):
+            return value
+        what = "divides by zero" if value is None else f"is not finite ({value!r})"
+        at = ", ".join(f"{n} = {env[n]!r}" for n in DERIVED_NAMES)
+        raise ConfigError(f"derived column {name!r} ({expression}) {what} at {at}")
 
     return DerivedColumn(name=name, expression=expression, fn=fn)
 
@@ -208,9 +213,6 @@ def load_sweep(path: str | Path) -> SweepSpec:
     if axis2 is not None and axis2.field_name == axis1.field_name:
         raise ConfigError(f"{path}: axis1 and axis2 sweep the same parameter {axis1.path!r}")
     derived = _parse_derived(parser.get("sweep", "derived", fallback=""))
-    style = parser.get("sweep", "plot_style", fallback=None)
-    if style is not None and style not in ("lines", "heatmap"):
-        raise ConfigError(f"{path}: plot_style must be 'lines' or 'heatmap', got {style!r}")
     return SweepSpec(
         base=base,
         axis1=axis1,
@@ -220,5 +222,4 @@ def load_sweep(path: str | Path) -> SweepSpec:
         plot_path=parser.get("sweep", "plot", fallback=None),
         plot_x=parser.get("sweep", "plot_x", fallback=None),
         plot_y=parser.get("sweep", "plot_y", fallback="j_l"),
-        plot_style=style,
     )

@@ -59,6 +59,12 @@ def occupation(delta_e: float, temperature: float) -> float:
     return 1.0 / math.expm1(x)
 
 
+def channel_rates(delta_e: float, kappa: float, temperature: float) -> tuple[float, float]:
+    """kappa*(n+1) for a channel's jump, then kappa*n for its adjoint (``superoperator_terms``' order)."""
+    n = occupation(delta_e, temperature)
+    return kappa * (n + 1.0), kappa * n
+
+
 def lindblad_term(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """L[A] rho = A rho A^dag - (1/2){A^dag A, rho}."""
     ad = a.conj().T
@@ -148,9 +154,6 @@ def generator_matrix(positions: np.ndarray, values: np.ndarray, coef: Sequence[f
 
 def build_superoperator(h: np.ndarray, channels: Sequence[BathChannel]) -> Liouvillian:
     """The dense matrix generator over column-stacked states, from ``superoperator_terms``."""
-    coef = [1.0]
-    for ch in channels:
-        n = occupation(ch.delta_e, ch.temperature)
-        coef += [ch.kappa * (n + 1.0), ch.kappa * n]
+    coef = [1.0] + [rate for ch in channels for rate in channel_rates(ch.delta_e, ch.kappa, ch.temperature)]
     matrix = generator_matrix(*superoperator_terms([h], [ch.jump for ch in channels]), coef, h.shape[0])
     return Liouvillian(matrix=matrix, hamiltonian=h, channels=list(channels))

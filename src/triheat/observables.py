@@ -3,19 +3,19 @@
 The current attributed to a bath is J = -Re Tr(H * D[rho]) summed over the
 bath's channels (the middle bath owns two). With this sign, J > 0 means net
 energy leaving the system into that bath. The imaginary part of the trace is
-a pure numerical residue and is checked, not reported.
+a pure numerical residue and is checked, not reported. Each subsystem's
+populations are marginal sums of the state's real diagonal.
 """
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .lindblad import dissipator_apply
-from .model import BATHS, DIMS, BathChannel
+from .model import BATHS, DIM, DIMS, BathChannel
 
 IMAG_TOL = 1e-11
 # A current's imaginary residue above IMAG_TOL, formatted with the residue and the bound.
@@ -53,30 +53,9 @@ def bath_currents(h: np.ndarray, channels: Sequence[BathChannel], rho: np.ndarra
     })
 
 
-def partial_trace(rho: np.ndarray, dims: list[int], keep: int) -> np.ndarray:
-    """Trace out every tensor factor except ``dims[keep]``.
-
-    ``rho`` must act on the tensor-product space with factor dimensions
-    ``dims`` (leftmost factor slowest, matching ``np.kron`` order). The result
-    has dimension ``dims[keep]`` and the same trace as ``rho``.
-    """
-    dims = list(dims)
-    n = len(dims)
-    total = int(np.prod(dims))
-    if rho.shape != (total, total):
-        raise ValueError(f"partial_trace: dims {dims} inconsistent with shape {rho.shape}")
-    if not 0 <= keep < n:
-        raise ValueError(f"partial_trace: keep index {keep} out of range for {n} subsystems")
-    # rho as a 2n-index tensor: row indices a, b, c, ... and column indices
-    # that repeat the row letters (summed) except at ``keep``.
-    letters = string.ascii_lowercase
-    rows = list(letters[:n])
-    cols = [letters[n + i] if i == keep else rows[i] for i in range(n)]
-    sub = "".join(rows) + "".join(cols) + "->" + rows[keep] + cols[keep]
-    return np.einsum(sub, rho.reshape(tuple(dims) * 2))
-
-
 def reduced_populations(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Level populations of the left, middle, and right subsystems."""
-    dims = list(DIMS)
-    return tuple(np.real(np.diag(partial_trace(rho, dims, k))) for k in range(3))
+    """Level populations of the left, middle, and right subsystems, as marginal sums of rho's real diagonal."""
+    if rho.shape != (DIM, DIM):
+        raise ValueError(f"reduced_populations: rho must be {DIM}x{DIM}, got shape {rho.shape}")
+    diagonal = np.real(np.diagonal(rho)).reshape(DIMS)
+    return diagonal.sum(axis=(1, 2)), diagonal.sum(axis=(0, 2)), diagonal.sum(axis=(0, 1))

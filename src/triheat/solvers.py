@@ -59,7 +59,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lindblad import NON_FINITE_GENERATOR, Liouvillian, generator_matrix, occupation, superoperator_terms, unvec, vec
+from .lindblad import NON_FINITE_GENERATOR, Liouvillian, channel_rates, generator_matrix, superoperator_terms, unvec, vec
 from .model import (
     BATHS,
     CHANNEL_LABELS,
@@ -243,8 +243,7 @@ def generator_coefficients(p: SystemParams) -> list[float]:
     """coef_c(p) of the 14 generator terms, in ``generator_table`` order."""
     coef = [float(getattr(p, name)) for name in HAMILTONIAN_FIELDS]
     for delta_e, kappa, temperature in channel_constants(p):
-        n = occupation(delta_e, temperature)
-        coef += [kappa * (n + 1.0), kappa * n]
+        coef += channel_rates(delta_e, kappa, temperature)
     return coef
 
 

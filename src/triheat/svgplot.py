@@ -17,7 +17,7 @@ from .sweep import STATUS_OK, SweepRow, csv_columns, row_value
 WIDTH, HEIGHT = 720, 540
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 90, 30, 40, 70
 LINE_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f")
-HEATMAP_CUTOFF = 8  # axis2 values above this switch the default style to heatmap
+HEATMAP_CUTOFF = 8  # axis2 values above this switch the style to heatmap
 NAN_FILL = "#cccccc"
 
 
@@ -93,8 +93,6 @@ def _to_px(value: float, span: tuple[float, float], px_lo: float, px_hi: float) 
 
 
 def plot_style(spec: SweepSpec) -> str:
-    if spec.plot_style is not None:
-        return spec.plot_style
     if spec.axis2 is not None and spec.axis2.count > HEATMAP_CUTOFF:
         return "heatmap"
     return "lines"
@@ -106,8 +104,6 @@ def check_plot(spec: SweepSpec) -> None:
     for key, column in (("plot_x", spec.plot_x), ("plot_y", spec.plot_y)):
         if column is not None and column not in plottable:
             raise ConfigError(f"{key} {column!r} is not a plottable column; choose one of {', '.join(plottable)}")
-    if plot_style(spec) == "heatmap" and spec.axis2 is None:
-        raise ConfigError("heatmap plot needs a second sweep axis")
 
 
 def emit_plot(rows: list[SweepRow], spec: SweepSpec, path: str | Path) -> None:

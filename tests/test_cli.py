@@ -125,8 +125,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("edit, message", [
         (("plot_y = j_l", "plot_y = bogus"), "plot_y 'bogus' is not a plottable column"),
-        (("plot_y = j_l", "plot_y = j_l\nplot_style = heatmap"), "heatmap plot needs a second sweep axis"),
-    ], ids=["unknown-column", "heatmap-without-axis2"])
+    ], ids=["unknown-column"])
     def test_bad_plot_settings_fail_before_any_solve(self, tmp_path, capsys, edit, message):
         cfg = tmp_path / "plot.cfg"
         text = (SCRIPTS / "transfer_curve.cfg").read_text(encoding="utf-8")

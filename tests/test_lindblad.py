@@ -15,6 +15,7 @@ from triheat import (
     unvec,
     vec,
 )
+from triheat.lindblad import channel_rates
 from conftest import TRANSFER_PARAMS, random_hermitian
 
 QUBIT_LOWER = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -65,6 +66,22 @@ class TestOccupation:
     def test_monotone_property(self, de, t, bump):
         assert occupation(de, t + bump) > occupation(de, t)
         assert occupation(de + bump, t) < occupation(de, t)
+
+
+class TestChannelRates:
+    def test_jump_then_adjoint(self):
+        n = occupation(1.0, 2.0)
+        assert channel_rates(1.0, 0.05, 2.0) == (0.05 * (n + 1.0), 0.05 * n)
+        assert channel_rates(1.0, 0.5, 1e-3) == (0.5, 0.0)  # a cold bath only takes energy
+
+    @given(
+        de=st.floats(min_value=0.05, max_value=20.0),
+        t=st.floats(min_value=0.05, max_value=20.0),
+    )
+    def test_detailed_balance(self, de, t):
+        # absorption over emission is the Boltzmann factor of the transition
+        down, up = channel_rates(de, 0.3, t)
+        assert up == pytest.approx(down * np.exp(-de / t), rel=1e-12, abs=1e-300)
 
 
 class TestDissipator:

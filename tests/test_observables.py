@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from triheat import (
     bath_currents,
     dissipator_apply,
     heat_current,
-    partial_trace,
     reduced_populations,
     total_hamiltonian,
 )
@@ -104,6 +104,32 @@ class TestReducedPopulations:
                 assert np.all(v >= -1e-10)
                 assert np.all(v <= 1 + 1e-10)
 
+    def test_recovers_factors_of_triple_product(self, rng):
+        factors = [random_density(rng, d) for d in (2, 3, 2)]
+        pops = reduced_populations(np.kron(np.kron(factors[0], factors[1]), factors[2]))
+        for got, factor in zip(pops, factors):
+            assert np.max(np.abs(got - np.diag(factor).real)) < 1e-12
+
+    def test_unnormalised_product_scales_by_the_other_traces(self, rng):
+        # the populations are marginal sums, so each factor's diagonal is
+        # weighted by the traces of the two it is summed over
+        factors = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for d in (2, 3, 2)]
+        traces = [np.trace(f) for f in factors]
+        pops = reduced_populations(np.kron(np.kron(factors[0], factors[1]), factors[2]))
+        for k, got in enumerate(pops):
+            others = np.prod([t for j, t in enumerate(traces) if j != k])
+            assert np.max(np.abs(got - (np.diag(factors[k]) * others).real)) < 1e-12
+
+    def test_each_sums_to_the_trace(self, rng):
+        rho = 0.37 * random_density(rng, 12)
+        for v in reduced_populations(rho):
+            assert abs(v.sum() - np.trace(rho).real) < 1e-12
+
+    def test_wrong_shape_rejected(self):
+        for shape in ((6, 6), (12, 6), (144,)):
+            with pytest.raises(ValueError, match=re.escape(f"rho must be 12x12, got shape {shape}")):
+                reduced_populations(np.zeros(shape, dtype=complex))
+
 
 class TestBathCurrents:
     def test_groups_middle_channels(self):
@@ -117,32 +143,3 @@ class TestBathCurrents:
             heat_current(h, [by_label["M1"], by_label["M2"]], rho), rel=1e-14
         )
         assert cur.j_l == pytest.approx(heat_current(h, [by_label["L"]], rho), rel=1e-14)
-
-
-class TestPartialTrace:
-    def test_product_state_factorization(self, rng):
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        reduced = partial_trace(np.kron(a, b), [2, 3], keep=0)
-        assert np.max(np.abs(reduced - a * np.trace(b))) < 1e-13
-
-    def test_trace_preserved(self, rng):
-        rho = random_density(rng, 12)
-        for k in range(3):
-            assert abs(np.trace(partial_trace(rho, [2, 3, 2], k)) - np.trace(rho)) < 1e-12
-
-    def test_maximally_mixed_reduction(self):
-        reduced = partial_trace(np.eye(12, dtype=complex) / 12, [2, 3, 2], keep=1)
-        assert np.max(np.abs(reduced - np.eye(3) / 3)) < 1e-15
-
-    def test_recovers_factors_of_triple_product(self, rng):
-        factors = [random_density(rng, d) for d in (2, 3, 2)]
-        rho = np.kron(np.kron(factors[0], factors[1]), factors[2])
-        for k in range(3):
-            assert np.max(np.abs(partial_trace(rho, [2, 3, 2], k) - factors[k])) < 1e-12
-
-    def test_inconsistent_dims_rejected(self):
-        with pytest.raises(ValueError):
-            partial_trace(np.eye(12, dtype=complex), [2, 3], keep=0)
-        with pytest.raises(ValueError):
-            partial_trace(np.eye(12, dtype=complex), [2, 3, 2], keep=3)

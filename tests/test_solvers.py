@@ -729,31 +729,41 @@ class TestBlockEngine:
         assert solvers.balanced(currents).tolist() == [True, True, False, False]
 
     @pytest.mark.parametrize("inject, reason", [("nan", "non_finite"), ("singular", "singular"),
-                                                ("indefinite", "invalid_state")])
+                                                ("indefinite", "invalid_state"), ("traceless", "zero_trace")])
     def test_bad_matrix_fails_alone(self, inject, reason):
         engine = block_engine()
         points = seeded_points(count=5)
         coef = np.array([generator_coefficients(p) for p in points])
         blocks = engine.assemble(coef)
+        x = np.zeros(blocks[0].shape[1], dtype=complex)
         if inject == "nan":
             blocks[1][2, 0, 0] = np.nan
         elif inject == "indefinite":
             # a projector whose null vector has unit trace, a clear gap and a
             # negative population: every check before the state's passes
-            x = np.zeros(blocks[0].shape[1], dtype=complex)
             x[engine.layout.diagonal[:3]] = 0.7, 0.5, -0.2
-            blocks[0][2] = np.eye(len(x)) - np.outer(x, x.conj()) / np.vdot(x, x).real
+        elif inject == "traceless":
+            # a projector with a clear gap whose null vector is a unit coherence
+            # beside two populations that cancel to 1e-9: its trace is near zero
+            x[engine.layout.diagonal[:2]] = 1e-3, -1e-3 + 1e-9
+            off = np.setdiff1d(np.arange(len(x)), engine.layout.diagonal)[0]
+            x[[off, engine.layout.partner[off]]] = 1.0
         else:
             # a null vector of zero trace (a coherence) with a clear spectral
             # gap: the trace-pinned system is exactly singular
             m = blocks[0].shape[1]
             blocks[0][2] = np.diag([0.0 if k == m - 1 else 1.0 for k in range(m)])
+        if inject in ("indefinite", "traceless"):
+            # I - x x^H / |x|^2: its null vector is x, and its other singular values are 1
+            blocks[0][2] = np.eye(len(x)) - np.outer(x, x.conj()) / np.vdot(x, x).real
         solved = engine.solve_blocks(blocks, coef)
         reference = steady_states(points)
         assert solved[2].error is not None and solved[2].error.reason == reason
         if inject == "indefinite":
             assert str(solved[2].error) == ("steady state violates state invariants: "
                                             "density matrix has negative eigenvalue -2.000e-01")
+        if inject == "traceless":
+            assert str(solved[2].error) == "no steady state at tolerance: null vector has near-zero trace"
         for k in (0, 1, 3, 4):
             assert solved[k].error is None
             assert solved[k].currents == reference[k].currents

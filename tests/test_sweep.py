@@ -136,6 +136,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="same parameter"):
             load_sweep(path)
 
+    def test_plot_style_key_is_ignored(self, tmp_path):
+        # the grid picks the style; a leftover key is ignored like any other unknown key
+        path = tmp_path / "styled.cfg"
+        path.write_text(SWEEP_CFG.replace("[sweep]\n", "[sweep]\nplot_style = heatmap\n"), encoding="utf-8")
+        assert plot_style(load_sweep(path)) == "lines"  # axis2 has 3 values
+
     def test_derived_unknown_name(self):
         with pytest.raises(ConfigError, match="unknown name"):
             compile_derived("bad", "t_m - kappa_l")
@@ -161,7 +167,9 @@ class TestConfig:
     @pytest.mark.parametrize("expression, why", [
         ("1" + "0" * 400 + " * t_m", "an integer constant is too large for a float"),
         (" + ".join(["t_m"] * 3000), "maximum recursion depth exceeded"),
-    ], ids=["400_digit_literal", "3000_term_sum"])
+        ("1e400 * t_m", r"a float constant is not finite \(inf\)"),
+        ("1e400 - 1e400 + t_m", r"a float constant is not finite \(inf\)"),
+    ], ids=["400_digit_literal", "3000_term_sum", "inf_literal", "inf_minus_inf_literal"])
     def test_derived_that_cannot_be_compiled_fails_at_load(self, tmp_path, monkeypatch, capsys, expression, why):
         path = tmp_path / "big.cfg"
         path.write_text(DERIVED_ONLY_CFG.format(f"big = {expression}"), encoding="utf-8")
@@ -196,6 +204,23 @@ class TestConfig:
         code = cli_main(["sweep", "--config", str(path), "--out", str(tmp_path / "pole.csv")])
         assert code == 1
         assert "derived column 'pole'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("expression, value", [
+        ("t_m * 1e300 * 1e300", "inf"),
+        ("t_m * 1e300 * 1e300 - t_r * 1e300 * 1e300", "nan"),
+    ], ids=["inf", "nan"])
+    def test_derived_non_finite_value_reported_before_any_solve(self, tmp_path, monkeypatch, capsys, expression, value):
+        path = tmp_path / "huge.cfg"
+        path.write_text(DERIVED_ONLY_CFG.format(f"huge = {expression}"), encoding="utf-8")
+        spec = load_sweep(path)  # every constant is finite, so it loads
+        monkeypatch.setattr(triheat.sweep, "steady_states", lambda *args, **kw: pytest.fail("solved"))
+        at = r"t_l = 2\.0, t_m = 0\.1, t_r = 0\.1$"
+        with pytest.raises(ConfigError, match=rf"^derived column 'huge' \(.*\) is not finite \({value}\) at {at}"):
+            run_sweep(spec)
+        assert cli_main(["sweep", "--config", str(path), "--out", str(tmp_path / "huge.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: derived column 'huge'") and "Traceback" not in err
+        assert not (tmp_path / "huge.csv").exists()
 
     def test_derived_zero_divisor_reported_before_any_solve(self, tmp_path, monkeypatch):
         path = tmp_path / "pole.cfg"
@@ -382,5 +407,3 @@ class TestEmitPlot:
         assert plot_style(synthetic_spec(5)) == "lines"
         assert plot_style(synthetic_spec(5, 3)) == "lines"
         assert plot_style(synthetic_spec(5, 12)) == "heatmap"
-        forced = dataclasses.replace(synthetic_spec(5, 12), plot_style="lines")
-        assert plot_style(forced) == "lines"
