@@ -85,6 +85,14 @@ class TestReducedPopulations:
         assert np.allclose(pops[1], [1 / 3, 1 / 3, 1 / 3], atol=1e-14)
         assert np.allclose(pops[2], [0.5, 0.5], atol=1e-14)
 
+    def test_maximally_mixed_reduction(self):
+        # the middle qutrit of the maximally mixed state is uniform to rounding,
+        # and each factor comes back as a real vector of its own dimension
+        pops = reduced_populations(np.eye(12, dtype=complex) / 12)
+        assert [v.shape for v in pops] == [(2,), (3,), (2,)]
+        assert all(np.isrealobj(v) for v in pops)
+        assert np.max(np.abs(pops[1] - 1 / 3)) < 1e-15
+
     def test_each_sums_to_one(self, rng):
         pops = reduced_populations(random_density(rng, 12))
         for v in pops:
