@@ -159,14 +159,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
     min_eig = float(np.linalg.eigvalsh(result.state.mat).min())
     report("positivity", min_eig >= EIG_FLOOR, f"min eigenvalue {min_eig:.3e}")
 
+    # each sample is held to round-off at the generator's and its own scale
     rng = np.random.default_rng(7)
-    worst = 0.0
+    scale = np.max(np.abs(liou.matrix))
+    worst, ok = 0.0, True
     for _ in range(10):
         a = rng.normal(size=h.shape) + 1j * rng.normal(size=h.shape)
         rho = a + a.conj().T
         diff = unvec(liou.matrix @ vec(rho)) - rhs_apply(h, channels, rho)
-        worst = max(worst, float(np.max(np.abs(diff))))
-    report("superoperator consistency", worst <= 1e-12, f"max deviation {worst:.3e}")
+        deviation = float(np.max(np.abs(diff)))
+        worst = max(worst, deviation)
+        ok = ok and deviation <= 1e-14 * scale * np.max(np.abs(rho))
+    report("superoperator consistency", ok, f"max deviation {worst:.3e}")
 
     free_result = free_solved.result()
     expected = np.kron(
@@ -178,14 +182,19 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     # the engine's kept blocks; each dropped mirror block has the conjugates of its kept block's eigenvalues.
     # The solve certified the second singular value, so exactly one eigenvalue is zero: the least in modulus.
+    # The slowest mode decays by e^-18 over the horizon, and |h*lambda| <= 1.5 is inside RK4's stability region.
     blocks = block_engine().assemble(np.array([generator_coefficients(params)]))
     ev = np.concatenate([np.linalg.eigvals(b[0]) for b in blocks])
     gap = -np.max(np.delete(ev.real, np.argmin(np.abs(ev))))
-    t_final = float(min(max(18.0 / gap, 200.0), 5e4))
-    dt = float(min(0.05, 1.5 / np.max(np.abs(ev))))
-    evolved = evolve(DensityMatrix.maximally_mixed(h.shape[0]), liou, t_final=t_final, dt_max=dt)
-    agree = trace_distance(evolved, result.state)
-    report("solver agreement", agree <= 1e-6, f"trace distance {agree:.3e} at t={t_final:.0f}")
+    t_final = float(18.0 / gap)
+    dt = float(1.5 / np.max(np.abs(ev)))
+    try:
+        evolved = evolve(DensityMatrix.maximally_mixed(h.shape[0]), liou, t_final=t_final, dt_max=dt)
+    except IntegrationError as exc:
+        report("solver agreement", False, str(exc))
+    else:
+        agree = trace_distance(evolved, result.state)
+        report("solver agreement", agree <= 1e-6, f"trace distance {agree:.3e} at t={t_final:.4g}")
 
     return 1 if failures else 0
 

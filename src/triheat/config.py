@@ -70,7 +70,6 @@ class DerivedColumn:
     """Named expression over the bath temperatures."""
 
     name: str
-    expression: str
     fn: Callable[[dict[str, float]], float]
 
 
@@ -122,7 +121,7 @@ def compile_derived(name: str, expression: str) -> DerivedColumn:
         at = ", ".join(f"{n} = {env[n]!r}" for n in DERIVED_NAMES)
         raise ConfigError(f"derived column {name!r} ({expression}) {what} at {at}")
 
-    return DerivedColumn(name=name, expression=expression, fn=fn)
+    return DerivedColumn(name=name, fn=fn)
 
 
 def _read_ini(path: str | Path) -> configparser.ConfigParser:

@@ -725,7 +725,12 @@ def trajectory(
         if drift > TRACE_DRIFT_TOL:
             raise IntegrationError(f"trace drifted by {drift:.3e} over the run; try a smaller dt_max")
         rho = 0.5 * (rho + rho.conj().T)
-        states.append(DensityMatrix(rho / np.trace(rho).real))
+        try:
+            states.append(DensityMatrix(rho / np.trace(rho).real))
+        except ValueError as exc:  # the run checks at 10x the bounds each output state is held to
+            raise IntegrationError(
+                f"integration failed at t={(i + 1) * steps * dt:.4g}: {exc}; try a smaller dt_max"
+            ) from None
     return states
 
 

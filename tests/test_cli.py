@@ -43,6 +43,11 @@ derived =
 """
 
 
+def with_values(text, values):
+    """The config text with each named key's value replaced."""
+    return re.sub(r"(?m)^(\w+) = .*$", lambda m: f"{m[1]} = {values[m[1]]!r}" if m[1] in values else m[0], text)
+
+
 @pytest.fixture
 def point_cfg(tmp_path):
     path = tmp_path / "point.cfg"
@@ -256,19 +261,36 @@ class TestCheck:
         assert cli_main(["check"]) == 0
         assert capsys.readouterr().out.count(": ok (") == 6
 
-    def test_tiny_scale_prints_every_verdict(self, tmp_path, capsys):
-        # energies, couplings, rates and temperatures near 1e-9: the spectral gap
-        # is below any fixed cut-off on |eigenvalue|, so check finds the zero
-        # eigenvalue as the one of least modulus
-        values = {"e1": 1e-9, "e2": 1e-9, "e3": 3e-9, "e4": 1e-9, "g_lm": 1e-10, "g_mr": 1e-10,
-                  "kappa_l": 1e-9, "kappa_m": 1e-9, "kappa_r": 1e-9, "t_l": 2e-9, "t_m": 1e-10, "t_r": 5e-10}
-        cfg = tmp_path / "tiny.cfg"
-        cfg.write_text(re.sub(r"(?m)^(\w+) = .*$", lambda m: f"{m[1]} = {values[m[1]]!r}", POINT_CFG), encoding="utf-8")
-        code = cli_main(["check", "--config", str(cfg)])
+    @pytest.mark.parametrize("values", [
+        # energies, couplings, rates and temperatures near 1e-9: the spectral
+        # gap is below any fixed cut-off on |eigenvalue|, and the horizon is
+        # about 1e10
+        {"e1": 1e-9, "e2": 1e-9, "e3": 3e-9, "e4": 1e-9, "g_lm": 1e-10, "g_mr": 1e-10,
+         "kappa_l": 1e-9, "kappa_m": 1e-9, "kappa_r": 1e-9, "t_l": 2e-9, "t_m": 1e-10, "t_r": 5e-10},
+        # one slow bath: the horizon is about 1e6
+        {"kappa_m": 1e-4},
+        # every value x1e3: the generator's entries, and so its round-off, are 1e3 times larger
+        {m[1]: 1e3 * float(m[2]) for m in re.finditer(r"(?m)^(\w+) = (.*)$", POINT_CFG)},
+    ], ids=["x1e-9", "kappa_m_1e-4", "x1e3"])
+    def test_any_scale_passes_every_verdict(self, tmp_path, capsys, values):
+        cfg = tmp_path / "scaled.cfg"
+        cfg.write_text(with_values(POINT_CFG, values), encoding="utf-8")
+        assert cli_main(["check", "--config", str(cfg)]) == 0
         captured = capsys.readouterr()
-        verdicts = re.findall(r"(?m)^check [a-z -]+: (ok|FAIL) \(.*\)$", captured.out)
-        assert len(verdicts) == 6 and verdicts[:5] == ["ok"] * 5
-        assert code == (1 if "FAIL" in verdicts else 0)
+        assert re.findall(r"(?m)^check [a-z -]+: (ok|FAIL) \(.*\)$", captured.out) == ["ok"] * 6
+        assert captured.err == ""
+
+    def test_failed_integration_is_the_agreement_verdict(self, tmp_path, capsys):
+        # every rate 1e-9: the horizon is 1.8e10 at a step of 0.3, and RK4's
+        # round-off breaks the Hermiticity bound long before the end
+        cfg = tmp_path / "stiff.cfg"
+        cfg.write_text(with_values(POINT_CFG, dict.fromkeys(("kappa_l", "kappa_m", "kappa_r"), 1e-9)), encoding="utf-8")
+        assert cli_main(["check", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        verdicts = re.findall(r"(?m)^check ([a-z -]+): (ok|FAIL) \((.*)\)$", captured.out)
+        assert [v[1] for v in verdicts] == ["ok"] * 5 + ["FAIL"]
+        assert verdicts[-1][0] == "solver agreement"
+        assert verdicts[-1][2].startswith("integration failed at t=") and "trace distance" not in verdicts[-1][2]
         assert captured.err == ""
 
     def test_non_finite_parameter_is_named(self, tmp_path, capsys):

@@ -381,6 +381,19 @@ class TestTrajectory:
         trajectory(DensityMatrix.maximally_mixed(12), liou, 3 * 9.05, 3, 0.01)
         assert checked == [227] * 3
 
+    def test_output_state_that_fails_its_check_is_an_integration_error(self):
+        # A nearly pure start: after one step an eigenvalue lies between the
+        # run's floor (10x EIG_FLOOR) and the output state's (EIG_FLOOR)
+        rng = np.random.default_rng(0)
+        u = np.linalg.qr(rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)))[0]
+        w = np.array([1.0] + [1e-12] * 11)
+        rho0 = DensityMatrix((u * (w / w.sum())) @ u.conj().T)
+        with pytest.raises(IntegrationError, match=(
+            r"^integration failed at t=0\.0546: density matrix has negative eigenvalue -\d\.\d{3}e-10; "
+            r"try a smaller dt_max$"
+        )):
+            trajectory(rho0, chain_liouvillian(TRANSFER_PARAMS), 0.0546, 1, 0.0546)
+
     def test_argument_validation(self):
         liou = single_qubit_liouvillian()
         mm = DensityMatrix.maximally_mixed(2)
