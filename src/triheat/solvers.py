@@ -32,14 +32,17 @@ transpose mirrors (rho[a, b] and rho[b, a]) with equal singular values, of
 which one each is kept. Each block lies inside one coherence order
 N(a) - N(b), the excitation-number symmetry the chain's H and jumps
 respect. So a chunk of points is assembled with one matrix product, its
-null vectors come from one batched solve on the 26-row block, and every
-check ``steady_state`` makes is kept per point with the same bound. The
-uniqueness gap is the null block's second singular value or a kept
-coherence block's smallest, whichever is lower. The null block's SVD always
-runs; a coherence block's runs only at the points where Johnson's lower
-bound on its smallest singular value, read off its entries, does not clear
-the gap so far. On the shipped figure grids that is no point, so a chunk
-takes one SVD, and the gap is the one the SVDs of every block would give.
+null vectors come from one batched inverse of the trace-pinned 26-row
+block, and every check ``steady_state`` makes is kept per point with the
+same bound. Uniqueness is certified rather than measured: the gap is a
+lower bound on the generator's second singular value, the least of each
+block's floor. The null block's floor is read off the inverse the solve
+forms (``pinned_floors``), and a coherence block's is Johnson's bound on
+its smallest singular value, read off its entries. A block's SVD runs
+only at the points where its floor does not clear ``DEGENERACY_TOL``, so a
+point is non-unique exactly when a computed singular value is below the
+bound, as in ``steady_state``. On the shipped figure grids that is no
+point and no block, so a figure pass makes no SVD.
 With more than one thread, a pool maps the same chunks.
 
 Every heat current of the CLI, ``triheat evolve``'s included, comes from
@@ -217,8 +220,11 @@ class PointSolve:
     ``x`` is the state's support vector on the engine's null block, and
     ``rho`` scatters it into the 12 x 12 state. A sweep holds every point's
     solve until its rows are made, and 26 entries take a fifth of the memory
-    of 144. ``gap`` is the second-smallest singular value of the generator
-    (NaN when the point failed before it was measured).
+    of 144. ``gap`` is a certified lower bound on the generator's
+    second-smallest singular value, the least of its blocks' floors, where a
+    block whose floor does not clear ``DEGENERACY_TOL`` counts with its
+    computed singular value less that value's rounding allowance (NaN when
+    the point failed before it was bounded).
     """
 
     x: np.ndarray | None = None
@@ -420,31 +426,35 @@ class BlockEngine:
             finite &= np.isfinite(b).all(axis=(1, 2))
         drop(~finite, "non_finite", lambda k: NON_FINITE_GENERATOR)
 
-        # The full generator's second-smallest singular value: the null block
-        # holds the null vector, and each other block's smallest counts. The
-        # gap is a minimum, so a block is measured only at the points where
-        # its floor does not clear the gap so far.
-        gap = np.linalg.svd(blocks[0][alive], compute_uv=False)[:, -2]
-        for b, floor in zip(blocks[1:], self.singular_floors(blocks)[alive].T):
-            measure = np.flatnonzero(~(floor > gap))
-            if measure.size:
-                gap[measure] = np.minimum(gap[measure], np.linalg.svd(b[alive[measure]], compute_uv=False)[:, -1])
-        gaps[alive] = gap
-        drop(~(gap >= DEGENERACY_TOL), "non_unique", lambda k: _NON_UNIQUE.format(gap[k]))
-
         # Null vector: replace one diagonal row by the trace condition. The
         # diagonal rows sum to zero (L preserves the trace), so the row
-        # dropped is implied by the rest.
+        # dropped is implied by the rest, and column `pinned` of the inverse
+        # is the null vector of unit trace.
         diagonal = self.layout.diagonal
         pinned = diagonal[0]
         system = blocks[0][alive].copy()
         system[:, pinned, :] = 0.0
         system[:, pinned, diagonal] = 1.0
-        rhs = np.zeros(system.shape[:2] + (1,), dtype=complex)
-        rhs[:, pinned] = 1.0
-        x, singular = _batched_solve(system, rhs)
+        inverse, singular = _batched_inverse(system)
+
+        # The gap: a lower bound on the full generator's second-smallest
+        # singular value, the least of the blocks' floors. A block is measured
+        # only at the points where its floor does not clear DEGENERACY_TOL, so
+        # every block that could break uniqueness is, and the verdict is that
+        # of the computed singular values, as in steady_state.
+        floors = np.column_stack([pinned_floors(system, inverse), self.singular_floors(blocks)[alive]])
+        least = np.full(len(alive), np.inf)  # the least singular value measured
+        for j, b in enumerate(blocks):
+            measure = np.flatnonzero(~(floors[:, j] >= DEGENERACY_TOL))
+            if measure.size:
+                s, floors[measure, j] = _measured(b[alive[measure]], -2 if j == 0 else -1)
+                least[measure] = np.minimum(least[measure], s)
+        gaps[alive] = floors.min(axis=1)
+        unique = ~(least < DEGENERACY_TOL)
+        drop(~unique, "non_unique", lambda k: _NON_UNIQUE.format(least[k]))
+        singular, inverse = singular[unique], inverse[unique]
         drop(singular, "singular", lambda k: "no steady state: the trace-pinned null-space system is singular")
-        x = x[~singular, :, 0]
+        x = inverse[~singular, :, pinned]
 
         x = 0.5 * (x + x[:, self.layout.partner].conj())
         tr = x[:, diagonal].sum(axis=1).real
@@ -481,20 +491,48 @@ class BlockEngine:
         return out
 
 
-def _batched_solve(system: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve a stack; numpy fails the whole stack on one singular matrix, so retry those alone."""
+def pinned_floors(system: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """Per point, a lower bound on the null block's second-smallest singular value, from its trace-pinned system.
+
+    The trace-pinned system S is the null block B with one row replaced, a
+    rank-one change, so the singular values interlace: sigma_2(B) >=
+    sigma_min(S) >= 1 / ||S^-1||_F. The computed inverse X has a relative
+    error of a modest multiple of m eps ||S|| ||S^-1||, so the bound is
+    (1 - 8 m eps ||S||_F ||X||_F) / ||X||_F, which also covers the error of
+    a computed SVD of B. A singular S (a NaN inverse) or an overflowing norm
+    gives NaN or a floor at most 0, never a number that rules the block out.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        size = np.linalg.norm(inverse, axis=(1, 2))
+        return 1.0 / size - 8 * system.shape[-1] * np.finfo(float).eps * np.linalg.norm(system, axis=(1, 2))
+
+
+def _measured(stack: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Singular value k of each matrix of a stack as computed, and a lower bound on the exact one.
+
+    A computed SVD is within a modest multiple of eps ||B||_2 of the exact
+    values, which 8 m eps ||B||_F bounds, as in the floors; where the norm
+    overflows, the bound is -inf.
+    """
+    s = np.linalg.svd(stack, compute_uv=False)[:, k]
+    with np.errstate(over="ignore"):
+        return s, s - 8 * stack.shape[-1] * np.finfo(float).eps * np.linalg.norm(stack, axis=(1, 2))
+
+
+def _batched_inverse(system: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Invert a stack; numpy fails the whole stack on one singular matrix, so retry those alone, each left NaN."""
     singular = np.zeros(len(system), dtype=bool)
     try:
-        return np.linalg.solve(system, rhs), singular
+        return np.linalg.inv(system), singular
     except np.linalg.LinAlgError:
         pass
-    x = np.zeros_like(rhs)
+    inverse = np.full_like(system, np.nan)
     for k in range(len(system)):
         try:
-            x[k] = np.linalg.solve(system[k], rhs[k])
+            inverse[k] = np.linalg.inv(system[k])
         except np.linalg.LinAlgError:
             singular[k] = True
-    return x, singular
+    return inverse, singular
 
 
 @functools.cache

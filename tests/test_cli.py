@@ -293,6 +293,22 @@ class TestCheck:
         assert verdicts[-1][2].startswith("integration failed at t=") and "trace distance" not in verdicts[-1][2]
         assert captured.err == ""
 
+    def test_failed_twin_solve_is_the_thermalization_verdict(self, tmp_path, capsys):
+        # the point solves, but its g = 0 twin keeps only the bath rates, the
+        # smallest 1e-10, and its second singular value falls below the bound
+        cfg = tmp_path / "twin.cfg"
+        cfg.write_text(with_values(POINT_CFG, {"kappa_l": 4.5e-7, "kappa_m": 5.7e-9, "kappa_r": 1.0e-10}),
+                       encoding="utf-8")
+        assert cli_main(["check", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        verdicts = re.findall(r"(?m)^check ([a-z -]+): (ok|FAIL) \((.*)\)$", captured.out)
+        assert len(verdicts) == 6 and len(captured.out.splitlines()) == 6
+        assert [v[1] for v in verdicts[:4]] == ["ok"] * 4
+        assert verdicts[4][:2] == ("uncoupled thermalization", "FAIL")
+        assert re.fullmatch(r"non-unique steady state: second singular value 9\.4\d\de-11 below 1\.0e-10", verdicts[4][2])
+        assert verdicts[5][0] == "solver agreement"
+        assert captured.err == ""
+
     def test_non_finite_parameter_is_named(self, tmp_path, capsys):
         text = (SCRIPTS / "transfer_curve.cfg").read_text(encoding="utf-8")
         bad = tmp_path / "inf.cfg"

@@ -31,6 +31,7 @@ from triheat import (
 )
 from triheat import solvers
 from triheat.cli import DEFAULT_PARAMS
+from triheat.config import load_sweep
 from triheat.solvers import (
     DEGENERACY_TOL,
     EIG_FLOOR,
@@ -45,6 +46,7 @@ from triheat.solvers import (
     invariant_support,
 )
 from triheat.observables import bath_currents
+from triheat.sweep import grid_points
 from conftest import TRANSFER_PARAMS, product_gibbs, random_density, random_hermitian, solve
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -566,6 +568,18 @@ def seeded_points(seed=2027, count=48, t_min=0.01):
     return points
 
 
+def pinned_systems(points, scale=None):
+    """The points' blocks, with the null block times ``scale`` per point, and its trace-pinned systems and their inverses."""
+    engine = block_engine()
+    blocks = engine.assemble(np.array([generator_coefficients(p) for p in points]))
+    if scale is not None:
+        blocks[0] *= scale[:, None, None]
+    system = blocks[0].copy()
+    system[:, engine.layout.diagonal[0], :] = 0.0
+    system[:, engine.layout.diagonal[0], engine.layout.diagonal] = 1.0
+    return blocks, system, np.linalg.inv(system)
+
+
 def coherence_orders():
     """N(a) - N(b) of each column-stacked generator index, N = i + j + k of state (i*3 + j)*2 + k."""
     n = np.array([i + j + k for i in range(2) for j in range(3) for k in range(2)])
@@ -599,7 +613,7 @@ class TestBlockEngine:
             assert trace_distance(ours.rho, ref.state) <= 1e-10, p
         assert sum(isinstance(r, SteadyStateError) for r in oracle) == 2
 
-    def test_gap_is_the_full_second_singular_value(self):
+    def test_gap_is_a_lower_bound_on_the_full_second_singular_value(self):
         # with level spacings below the rates, an order-1 coherence block, not
         # the 0-block, holds the second-smallest singular value
         slow = [
@@ -611,9 +625,10 @@ class TestBlockEngine:
             full = np.linalg.svd(build_superoperator(total_hamiltonian(p), bath_channels(p)).matrix,
                                  compute_uv=False)
             (ours,) = steady_states([p])
-            assert ours.gap == pytest.approx(full[-2], rel=1e-10)
+            assert ours.gap <= full[-2], p
+            assert (ours.error is not None and ours.error.reason == "non_unique") == (full[-2] < DEGENERACY_TOL), p
 
-    def test_gap_gate_measures_every_block_that_could_lower_the_gap(self, monkeypatch):
+    def test_gap_gate_measures_every_block_that_could_break_uniqueness(self, monkeypatch):
         # detuned levels, g up to 0.3, T down to 5e-4 and kappa down to 1e-5,
         # and the slow points of the test above: some coherence blocks there
         # lie near or below the null block's second singular value
@@ -627,7 +642,6 @@ class TestBlockEngine:
         blocks = engine.assemble(np.array([generator_coefficients(p) for p in points]))
         smallest = np.stack([np.linalg.svd(b, compute_uv=False)[:, -1] for b in blocks[1:]], axis=1)
         assert np.all(engine.singular_floors(blocks) <= smallest)
-        ungated = np.minimum(np.linalg.svd(blocks[0], compute_uv=False)[:, -2], smallest.min(axis=1))
 
         measured = []  # the points each coherence-block SVD of the engine is given
         svd = np.linalg.svd
@@ -640,9 +654,90 @@ class TestBlockEngine:
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         solved = steady_states(points)
         monkeypatch.undo()
-        assert [s.gap for s in solved] == ungated.tolist()
+        for p, ours in zip(points, solved):
+            full = np.linalg.svd(build_superoperator(total_hamiltonian(p), bath_channels(p)).matrix,
+                                 compute_uv=False)
+            assert ours.gap <= full[-2], p
+            assert (ours.error is not None and ours.error.reason == "non_unique") == (full[-2] < DEGENERACY_TOL), p
         # both branches: some (point, block) pairs are measured and some ruled out
         assert 0 < sum(measured) < (len(engine.sizes) - 1) * len(points)
+
+    def test_pinned_floor_bounds_the_null_block(self):
+        # sigma_2(B) >= sigma_min(S) >= the floor, with S the trace-pinned system;
+        # at these points every floor clears the bound
+        blocks, system, inverse = pinned_systems(seeded_points(seed=14, count=48, t_min=5e-4))
+        floors = solvers.pinned_floors(system, inverse)
+        assert np.all(floors <= np.linalg.svd(system, compute_uv=False)[:, -1])
+        assert np.all(floors <= np.linalg.svd(blocks[0], compute_uv=False)[:, -2])
+        assert np.all(floors >= DEGENERACY_TOL)
+
+    def test_floor_below_the_bound_by_its_allowance_falls_back_to_the_svd(self, monkeypatch):
+        # point 2's null block scaled by c, so that 1 / ||S^-1||_F lands half
+        # the rounding allowance above DEGENERACY_TOL: the floor, less the
+        # allowance, does not clear the bound, and the measured sigma_2 does
+        engine = block_engine()
+        points = seeded_points(count=5)
+        coef = np.array([generator_coefficients(p) for p in points])
+        _, system, inverse = pinned_systems(points)
+        # S(c) is diag(c, .., 1 at the pinned row, .., c) S(1), so S(c)^-1 has every column but pinned over c
+        pinned = engine.layout.diagonal[0]
+        columns = np.sum(np.abs(inverse[2]) ** 2, axis=0)
+        allowance = 8 * engine.sizes[0] * np.finfo(float).eps * math.sqrt(len(engine.layout.diagonal))
+        target = DEGENERACY_TOL + 0.5 * allowance
+        c = math.sqrt((columns.sum() - columns[pinned]) / (target ** -2 - columns[pinned]))
+        scale = np.array([1.0, 1.0, c, 1.0, 1.0])
+        blocks, system, inverse = pinned_systems(points, scale)
+        assert 1.0 / np.linalg.norm(inverse[2]) >= DEGENERACY_TOL
+        assert solvers.pinned_floors(system, inverse)[2] < DEGENERACY_TOL
+        sigma = np.linalg.svd(blocks[0][2], compute_uv=False)[-2]
+        assert sigma >= DEGENERACY_TOL
+
+        measured = []  # the null blocks each SVD of the engine is given
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            if a.shape[-1] == engine.sizes[0]:
+                measured.append(a.copy())
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        solved = engine.solve_blocks(blocks, coef)
+        monkeypatch.undo()
+        assert len(measured) == 1 and np.array_equal(measured[0], blocks[0][2:3])
+        reference = steady_states(points)
+        assert [s.error for s in solved] == [None] * 5
+        assert solved[2].gap <= sigma
+        for k in (0, 1, 3, 4):
+            assert solved[k].currents == reference[k].currents
+            assert solved[k].gap == reference[k].gap
+
+    def test_shipped_grids_make_no_svd_call(self, monkeypatch):
+        # every null block's pinned floor and every coherence block's floor clear the bound
+        points = [p for name in ("transfer_curve", "output_curves", "coupling_gate_map")
+                  for p in grid_points(load_sweep(SCRIPTS / f"{name}.cfg"))]
+        assert len(points) == 1160
+        calls = []
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: calls.append(a.shape))
+        solved = steady_states(points)
+        assert calls == []
+        assert all(s.error is None for s in solved)
+
+    def test_wide_points_measure_some_coherence_blocks_and_no_null_block(self, monkeypatch):
+        engine = block_engine()
+        points = [p for seed in range(5) for p in seeded_points(seed=seed, t_min=5e-4)]
+        measured = {"null": 0, "coherence": 0}  # matrices given to the engine's SVDs
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            measured["null" if a.shape[-1] == engine.sizes[0] else "coherence"] += len(a)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        solved = steady_states(points)
+        monkeypatch.undo()
+        assert all(s.error is None for s in solved)
+        assert measured["null"] == 0
+        assert 0 < measured["coherence"] < (len(engine.sizes) - 1) * len(points)
 
     def test_overflowing_floor_rules_nothing_out(self):
         engine = block_engine()
