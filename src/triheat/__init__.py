@@ -33,7 +33,6 @@ from .solvers import (
     steady_state,
     steady_states,
     trace_distance,
-    trajectory,
 )
 from .sweep import SweepRow, emit_csv, grid_points, run_sweep
 from .svgplot import emit_plot

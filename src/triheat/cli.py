@@ -37,7 +37,6 @@ from .solvers import (
     generator_coefficients,
     steady_states,
     trace_distance,
-    trajectory,
 )
 from .sweep import STATUS_OK, emit_csv, run_sweep
 from .svgplot import check_plot, emit_plot
@@ -119,7 +118,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_evolve(args: argparse.Namespace) -> int:
     params = load_params(args.config)
     liou = chain_liouvillian(params)
-    states = trajectory(DensityMatrix.maximally_mixed(liou.dim), liou, args.t_final, args.samples, args.dt_max)
+    states = evolve(DensityMatrix.maximally_mixed(liou.dim), liou, args.t_final, args.samples, args.dt_max)
     times = np.linspace(0.0, args.t_final, args.samples + 1)
     # every sample's currents at once, by the engine's formula; its functionals read only the null block
     engine = block_engine()
@@ -193,7 +192,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     t_final = float(18.0 / gap)
     dt = float(1.5 / np.max(np.abs(ev)))
     try:
-        evolved = evolve(DensityMatrix.maximally_mixed(h.shape[0]), liou, t_final=t_final, dt_max=dt)
+        evolved = evolve(DensityMatrix.maximally_mixed(h.shape[0]), liou, t_final=t_final, samples=1, dt_max=dt)[-1]
     except IntegrationError as exc:
         report("solver agreement", False, str(exc))
     else:

@@ -16,9 +16,11 @@ Derived columns are arithmetic over the three bath temperatures t_l, t_m,
 t_r: + - * /, unary + and -, parentheses, and int or float numbers, which are
 read as floats. Python compiles each expression once, at load, and evaluates
 it per grid point in float arithmetic. Anything else, a number that is not a
-finite float, or an expression too deep to parse or compile is a ConfigError
-at load that names the column; a zero divisor or a non-finite value at a grid
-point is one before any solve. Files are read as UTF-8; other keys are ignored.
+finite float, an expression too deep to parse or compile, or a name that
+another CSV column already has (a parameter, a current, the residual, the
+status or another derived column) is a ConfigError at load that names the
+column; a zero divisor or a non-finite value at a grid point is one before
+any solve. Files are read as UTF-8; other keys are ignored.
 """
 
 from __future__ import annotations
@@ -212,7 +214,7 @@ def load_sweep(path: str | Path) -> SweepSpec:
     if axis2 is not None and axis2.field_name == axis1.field_name:
         raise ConfigError(f"{path}: axis1 and axis2 sweep the same parameter {axis1.path!r}")
     derived = _parse_derived(parser.get("sweep", "derived", fallback=""))
-    return SweepSpec(
+    spec = SweepSpec(
         base=base,
         axis1=axis1,
         axis2=axis2,
@@ -222,3 +224,12 @@ def load_sweep(path: str | Path) -> SweepSpec:
         plot_x=parser.get("sweep", "plot_x", fallback=None),
         plot_y=parser.get("sweep", "plot_y", fallback="j_l"),
     )
+    from .sweep import csv_columns  # sweep imports this module, so not at the top
+
+    # the other columns' names are distinct, so a repeated name is a derived column's
+    seen = set()
+    for name in csv_columns(spec):
+        if name in seen:
+            raise ConfigError(f"{path}: derived column {name!r} has the name of another CSV column")
+        seen.add(name)
+    return spec

@@ -6,16 +6,16 @@ which ``chain_liouvillian`` forms from the chain's term table
 and differ only in algorithm: an algebraic
 null-space solve (SVD, smallest singular vector) and a classical fixed-step
 RK4 integration of d vec(rho)/dt = L vec(rho). L is linear, so
-``trajectory`` builds the one-step RK4 matrix P on the entries of vec(rho)
+``evolve`` builds the one-step RK4 matrix P on the entries of vec(rho)
 that the initial state can reach through L, powers it from one state check
 to the next, and carries every output interval's checked states to the
-next interval with one matrix product. ``evolve`` is its one-interval case.
+next interval with one matrix product.
 The state checks run on the support's entries and on the diagonal blocks
 the support splits the state into, and positivity is decided from the
 blocks' LDL^H pivots with elementwise operations rather than measured with
 a LAPACK call per matrix. The test suite cross-checks the two
 algorithms against each other, checks ``evolve`` against explicit RK4
-steps and ``trajectory`` against a loop of ``evolve`` calls, and checks
+steps and against a loop of one-interval ``evolve`` calls, and checks
 the matrix itself against the operator form ``rhs_apply``.
 
 ``steady_states`` is the batched engine that every steady state of the
@@ -679,7 +679,7 @@ def invariant_support(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
         reach = grown
 
 
-def trajectory(
+def evolve(
     rho0: DensityMatrix,
     liouvillian: Liouvillian,
     t_final: float,
@@ -695,8 +695,7 @@ def trajectory(
     P^n. P acts on the invariant support of vec(rho0) only, which is exact
     (26 of the chain's 144 entries for the maximally mixed state at the
     shipped operating points). Within each interval the state is checked
-    every ``max(1, steps // 200)`` steps and at the interval's end, as
-    ``evolve`` over that interval alone would check it. The first
+    every ``max(1, steps // 200)`` steps and at the interval's end. The first
     interval's checked states come from P powered to that stride, and each
     later interval's from the previous ones times P^steps; one interval is
     checked at a time. The smallest-eigenvalue check is the decision
@@ -719,9 +718,12 @@ def trajectory(
         raise ValueError(f"dt_max must be positive, got {dt_max}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    per_interval = t_final / samples / dt_max  # steps per output interval, before rounding up
+    if not math.isfinite(per_interval):
+        raise ValueError(f"the step count t_final / samples / dt_max = {t_final} / {samples} / {dt_max} overflows")
     if rho0.dim != liouvillian.dim:
         raise ValueError(f"state dimension {rho0.dim} does not match generator dimension {liouvillian.dim}")
-    steps = max(1, math.ceil(t_final / samples / dt_max))
+    steps = max(1, math.ceil(per_interval))
     dt = t_final / samples / steps
     v0 = vec(rho0.mat).astype(complex)
     support = StateSupport(invariant_support(liouvillian.matrix, v0), rho0.dim)
@@ -770,24 +772,3 @@ def trajectory(
                 f"integration failed at t={(i + 1) * steps * dt:.4g}: {exc}; try a smaller dt_max"
             ) from None
     return states
-
-
-def evolve(
-    rho0: DensityMatrix,
-    liouvillian: Liouvillian,
-    t_final: float,
-    dt_max: float = 0.01,
-) -> DensityMatrix:
-    """Classical fixed-step RK4 integration of the master equation, as a step propagator.
-
-    Integrates d vec(rho)/dt = L vec(rho) from ``rho0`` to ``t_final`` with a
-    uniform step h no larger than ``dt_max``: ``trajectory`` with one output
-    interval. One RK4 step is the matrix P = I + hL + (hL)^2/2 + (hL)^3/6 +
-    (hL)^4/24 on the invariant support of vec(rho0), and n steps are P^n.
-    The state is checked every ``max(1, steps // 200)`` steps and after the
-    last one; P powered to that stride gives the sample states, and they
-    are checked in one batch, positivity by LDL^H pivots rather than
-    eigenvalues. A breach raises IntegrationError naming the first failing
-    sample's time (typically an unstable step size).
-    """
-    return trajectory(rho0, liouvillian, t_final, 1, dt_max)[-1]

@@ -1,5 +1,7 @@
 """Shared operating points and solve helpers for the test suite."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,24 @@ COUPLING_PARAMS = SystemParams(
     kappa_l=0.05, kappa_m=0.002, kappa_r=0.05,
     t_l=1.0, t_m=0.5, t_r=0.1,
 )
+
+
+def seeded_points(seed=2027, count=48, t_min=0.01):
+    """Resonant and detuned levels, g = 0 on every fourth, T in [t_min, 30], kappa in [1e-5, 0.1]."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for i in range(count):
+        e1, e2, e4 = (1.0, 1.0, 1.0) if i % 2 == 0 else rng.uniform(0.6, 1.6, 3)
+        g = (0.0, 0.0) if i % 4 == 1 else rng.uniform(0.0, 0.3, 2)
+        kappa = 10.0 ** rng.uniform(-5.0, -1.0, 3)
+        temps = 10.0 ** rng.uniform(math.log10(t_min), math.log10(30.0), 3)
+        points.append(SystemParams(
+            e1=float(e1), e2=float(e2), e3=float(e2 + rng.uniform(0.8, 2.2)), e4=float(e4),
+            g_lm=float(g[0]), g_mr=float(g[1]),
+            kappa_l=float(kappa[0]), kappa_m=float(kappa[1]), kappa_r=float(kappa[2]),
+            t_l=float(temps[0]), t_m=float(temps[1]), t_r=float(temps[2]),
+        ))
+    return points
 
 
 def solve(params: SystemParams) -> SteadyStateResult:

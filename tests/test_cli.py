@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import sys
 import warnings
@@ -9,6 +10,7 @@ import pytest
 from triheat import DensityMatrix, bath_channels, build_superoperator, evolve, load_params, total_hamiltonian
 from triheat.cli import cli_main, main
 from triheat.observables import bath_currents
+from conftest import seeded_points
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -175,7 +177,7 @@ class TestEvolve:
         out = tmp_path / "trace.csv"
         assert cli_main(["evolve", "--config", str(cfg), "--out", str(out), "--t-final", "200"]) == 0
         rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
-        # reference: the command as a loop of evolve calls, each from the last returned state
+        # reference: the command as a loop of one-interval evolve calls, each from the last returned state
         params = load_params(cfg)
         h, channels = total_hamiltonian(params), bath_channels(params)
         liou = build_superoperator(h, channels)
@@ -184,7 +186,7 @@ class TestEvolve:
         expected = []
         for i, t in enumerate(times):
             if i > 0:
-                state = evolve(state, liou, float(times[i] - times[i - 1]))
+                state = evolve(state, liou, float(times[i] - times[i - 1]), 1)[-1]
             cur = bath_currents(h, channels, state.mat)
             expected.append([cur.j_l, cur.j_m, cur.j_r])
         assert [r[0] for r in rows] == [format(t, ".17g") for t in times]
@@ -210,6 +212,18 @@ class TestEvolve:
         ])
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("options, values", [
+        (["--dt-max", "1e-320"], "1000.0 / 100 / 1e-320"),
+        (["--t-final", "1e308", "--samples", "1", "--dt-max", "0.001"], "1e+308 / 1 / 0.001"),
+    ], ids=["tiny-step", "huge-horizon"])
+    def test_rejects_an_overflowing_step_count(self, tmp_path, capsys, options, values):
+        out = tmp_path / "x.csv"
+        code = cli_main(["evolve", "--config", str(SCRIPTS / "transfer_curve.cfg"), "--out", str(out), *options])
+        assert code == 1
+        message = f"the step count t_final / samples / dt_max = {values} overflows"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_imaginary_current_residue_exits_with_reason(self, tmp_path, capsys):
         # POINT_CFG's energies, couplings and temperatures times 3e5 (rates
@@ -279,6 +293,16 @@ class TestCheck:
         captured = capsys.readouterr()
         assert re.findall(r"(?m)^check [a-z -]+: (ok|FAIL) \(.*\)$", captured.out) == ["ok"] * 6
         assert captured.err == ""
+
+    def test_seeded_points_pass_every_verdict(self, tmp_path, capsys):
+        # detuned levels on every other point, g = 0 on every fourth, T down to 5e-4 and kappa down to 1e-5
+        cfg = tmp_path / "seeded.cfg"
+        for i, p in enumerate(seeded_points(seed=0, t_min=5e-4)):
+            cfg.write_text(with_values(POINT_CFG, dataclasses.asdict(p)), encoding="utf-8")
+            code = cli_main(["check", "--config", str(cfg)])
+            captured = capsys.readouterr()
+            verdicts = re.findall(r"(?m)^check [a-z -]+: (ok|FAIL) \(.*\)$", captured.out)
+            assert (code, verdicts, captured.err) == (0, ["ok"] * 6, ""), f"point {i}: {p}\n{captured.out}"
 
     def test_failed_integration_is_the_agreement_verdict(self, tmp_path, capsys):
         # every rate 1e-9: the horizon is 1.8e10 at a step of 0.3, and RK4's

@@ -25,7 +25,6 @@ from triheat import (
     steady_states,
     total_hamiltonian,
     trace_distance,
-    trajectory,
     unvec,
     vec,
 )
@@ -47,7 +46,7 @@ from triheat.solvers import (
 )
 from triheat.observables import bath_currents
 from triheat.sweep import grid_points
-from conftest import TRANSFER_PARAMS, product_gibbs, random_density, random_hermitian, solve
+from conftest import TRANSFER_PARAMS, product_gibbs, random_density, random_hermitian, seeded_points, solve
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 QUBIT_LOWER = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -190,7 +189,7 @@ class TestEvolve:
     def test_stationary_under_commuting_dynamics(self):
         h = np.diag([0.0, 1.0]).astype(complex)
         rho0 = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
-        out = evolve(rho0, build_superoperator(h, []), t_final=5.0, dt_max=0.05)
+        out = evolve(rho0, build_superoperator(h, []), t_final=5.0, samples=1, dt_max=0.05)[-1]
         assert np.max(np.abs(out.mat - rho0.mat)) < 1e-14
 
     def test_relaxation_matches_rate_equation(self):
@@ -204,7 +203,7 @@ class TestEvolve:
         rate = kappa * (2 * n + 1)
         previous = p1
         for t_seg in (0.5, 0.5, 1.0, 2.0):
-            state = evolve(state, liou, t_final=t_seg, dt_max=0.01)
+            state = evolve(state, liou, t_final=t_seg, samples=1, dt_max=0.01)[-1]
             current = state.mat[1, 1].real
             assert current < previous  # monotone approach from above
             previous = current
@@ -216,7 +215,7 @@ class TestEvolve:
         kappa, de, temp = 1.0, 1.0, 0.5
         liou = single_qubit_liouvillian(kappa, de, temp)
         state = DensityMatrix(np.diag([0.1, 0.9]).astype(complex))
-        state = evolve(state, liou, t_final=1e3 / kappa, dt_max=0.01)
+        state = evolve(state, liou, t_final=1e3 / kappa, samples=1, dt_max=0.01)[-1]
         ratio = state.mat[1, 1].real / state.mat[0, 0].real
         assert ratio == pytest.approx(math.exp(-de / temp), abs=1e-6)
 
@@ -224,7 +223,7 @@ class TestEvolve:
         liou = single_qubit_liouvillian(kappa=0.8, temperature=1.2)
         rho0 = np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]], dtype=complex)
         start = DensityMatrix(rho0)
-        finals = [evolve(start, liou, t_final=2.0, dt_max=dt).mat for dt in (0.2, 0.1, 0.05)]
+        finals = [evolve(start, liou, t_final=2.0, samples=1, dt_max=dt)[-1].mat for dt in (0.2, 0.1, 0.05)]
         e1 = np.max(np.abs(finals[0] - finals[1]))
         e2 = np.max(np.abs(finals[1] - finals[2]))
         assert 10.0 < e1 / e2 < 24.0
@@ -232,7 +231,7 @@ class TestEvolve:
     def test_unstable_step_raises(self):
         # the first sample that fails, and the check it fails, are named
         with pytest.raises(IntegrationError, match=r"at t=2: negative eigenvalue .*dt_max"):
-            evolve(coherent_mixture(), transfer_liouvillian(), t_final=400.0, dt_max=1.0)
+            evolve(coherent_mixture(), transfer_liouvillian(), t_final=400.0, samples=1, dt_max=1.0)
 
     @pytest.mark.parametrize("t_final, first", [
         # every check the first failing sample fails is named, so the blow-up
@@ -247,7 +246,7 @@ class TestEvolve:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(IntegrationError, match=first):
-                evolve(coherent_mixture(), transfer_liouvillian(), t_final=t_final, dt_max=20.0)
+                evolve(coherent_mixture(), transfer_liouvillian(), t_final=t_final, samples=1, dt_max=20.0)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("case, support", [("random", 144), ("mixed", 26), ("qubit", 4)])
@@ -262,31 +261,49 @@ class TestEvolve:
         t_final, dt_max = 30.5, 0.05
         reference, steps = rk4_loop(rho0, liou, t_final, dt_max)
         assert steps % (steps // 200) != 0  # the run ends with a partial stride
-        out = evolve(DensityMatrix(rho0), liou, t_final, dt_max)
-        assert np.max(np.abs(out.mat - reference)) <= 1e-12
+        first, last = evolve(DensityMatrix(rho0), liou, t_final, 1, dt_max)
+        assert np.array_equal(first.mat, rho0)
+        assert np.max(np.abs(last.mat - reference)) <= 1e-12
 
     def test_argument_validation(self):
         liou = single_qubit_liouvillian()
         mm = DensityMatrix.maximally_mixed(2)
-        with pytest.raises(ValueError):
-            evolve(mm, liou, t_final=-1.0)
-        with pytest.raises(ValueError):
-            evolve(mm, liou, t_final=1.0, dt_max=0.0)
+        with pytest.raises(ValueError, match="^samples must be at least 1, got 0$"):
+            evolve(mm, liou, 1.0, 0)
+        with pytest.raises(ValueError, match="^t_final must be positive, got -1.0$"):
+            evolve(mm, liou, -1.0, 3)
+        with pytest.raises(ValueError, match="^t_final must be positive, got 0.0$"):
+            evolve(mm, liou, 0.0, 3)
+        with pytest.raises(ValueError, match="^t_final must be finite, got inf$"):
+            evolve(mm, liou, math.inf, 3)
+        with pytest.raises(ValueError, match="^t_final must be positive, got nan$"):
+            evolve(mm, liou, math.nan, 3)
+        with pytest.raises(ValueError, match="^dt_max must be positive, got 0.0$"):
+            evolve(mm, liou, 1.0, 3, 0.0)
+        with pytest.raises(ValueError, match="^dt_max must be positive, got nan$"):
+            evolve(mm, liou, 1.0, 3, math.nan)
+
+    @pytest.mark.parametrize("t_final, samples, dt_max", [(2.0, 1, 1e-320), (1e308, 1, 0.001)])
+    def test_rejects_an_overflowing_step_count(self, t_final, samples, dt_max):
+        # every value is finite and positive, but the steps per interval overflow to inf
+        message = f"the step count t_final / samples / dt_max = {t_final} / {samples} / {dt_max} overflows"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evolve(DensityMatrix.maximally_mixed(2), single_qubit_liouvillian(), t_final, samples, dt_max)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension 2 does not match generator dimension 12"):
-            evolve(DensityMatrix.maximally_mixed(2), transfer_liouvillian(), t_final=1.0)
+            evolve(DensityMatrix.maximally_mixed(2), transfer_liouvillian(), t_final=1.0, samples=1)
 
     def test_positivity_preserved_from_random_states(self, rng):
         liou = transfer_liouvillian()
         for _ in range(3):
             rho0 = DensityMatrix(random_density(rng, 12))
-            out = evolve(rho0, liou, t_final=20.0, dt_max=0.01)
+            out = evolve(rho0, liou, t_final=20.0, samples=1, dt_max=0.01)[-1]
             assert np.linalg.eigvalsh(out.mat).min() >= -1e-10
 
 
 def evolve_loop(rho0, liou, t_final, samples, dt_max):
-    """Reference: one ``evolve`` call per output interval, each from the last returned state.
+    """Reference: a one-interval ``evolve`` call per output interval, each from the last returned state.
 
     The intervals are the differences of ``np.linspace(0, t_final, samples + 1)``.
     On a failure, returns the interval's start time and the error instead.
@@ -295,7 +312,7 @@ def evolve_loop(rho0, liou, t_final, samples, dt_max):
     states = [DensityMatrix(rho0) if isinstance(rho0, np.ndarray) else rho0]
     for start, end in zip(times[:-1], times[1:]):
         try:
-            states.append(evolve(states[-1], liou, float(end - start), dt_max))
+            states.append(evolve(states[-1], liou, float(end - start), 1, dt_max)[-1])
         except IntegrationError as exc:
             return float(start), exc
     return states
@@ -335,18 +352,9 @@ class TestTrajectory:
         rho0 = np.eye(12, dtype=complex) / 12 if case == "mixed" else random_density(rng, 12)
         # 20 intervals of 2.0 at dt_max 0.01: 200 steps each, every one checked
         reference = evolve_loop(rho0, liou, 40.0, 20, 0.01)
-        states = trajectory(DensityMatrix(rho0), liou, 40.0, 20, 0.01)
+        states = evolve(DensityMatrix(rho0), liou, 40.0, 20, 0.01)
         assert len(states) == 21 and np.array_equal(states[0].mat, rho0)
         assert max(np.max(np.abs(a.mat - b.mat)) for a, b in zip(states, reference)) <= 1e-12
-
-    @pytest.mark.parametrize("case", ["random", "mixed"])
-    def test_one_interval_matches_explicit_rk4_steps(self, rng, case):
-        liou = transfer_liouvillian()
-        rho0 = random_density(rng, 12) if case == "random" else np.eye(12, dtype=complex) / 12
-        reference, _ = rk4_loop(rho0, liou, 30.5, 0.05)
-        first, last = trajectory(DensityMatrix(rho0), liou, 30.5, 1, 0.05)
-        assert np.array_equal(first.mat, rho0)
-        assert np.max(np.abs(last.mat - reference)) <= 1e-12
 
     @pytest.mark.parametrize("interval, start", [(8.0, 192.0), (12.0, 12.0)])
     def test_blow_up_in_a_later_interval_matches_the_loop(self, interval, start):
@@ -357,12 +365,12 @@ class TestTrajectory:
         mixed = DensityMatrix.maximally_mixed(12)
         failed_at, loop_error = evolve_loop(mixed, liou, 40 * interval, 40, dt_max=20.0)
         assert failed_at == start
-        # the loop's times count from its interval's start, trajectory's from rho0
+        # the loop's times count from its interval's start, the run's from rho0
         expected = re.sub(r"t=(\S+):", lambda m: f"t={failed_at + float(m.group(1)):.4g}:", str(loop_error))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(IntegrationError) as exc:
-                trajectory(mixed, liou, 40 * interval, 40, dt_max=20.0)
+                evolve(mixed, liou, 40 * interval, 40, dt_max=20.0)
         assert str(exc.value) == expected
         assert "negative eigenvalue" in expected
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
@@ -377,10 +385,10 @@ class TestTrajectory:
         monkeypatch.setattr(solvers, "_first_bad_sample", counting)
         liou = transfer_liouvillian()
         # one interval of 9.05 at dt_max 0.01 is 905 steps, checked every 4 steps and after the last
-        evolve(DensityMatrix.maximally_mixed(12), liou, 9.05, 0.01)
+        evolve(DensityMatrix.maximally_mixed(12), liou, 9.05, 1, 0.01)
         assert checked == [len(range(4, 905, 4)) + 1] == [227]
         checked.clear()
-        trajectory(DensityMatrix.maximally_mixed(12), liou, 3 * 9.05, 3, 0.01)
+        evolve(DensityMatrix.maximally_mixed(12), liou, 3 * 9.05, 3, 0.01)
         assert checked == [227] * 3
 
     def test_output_state_that_fails_its_check_is_an_integration_error(self):
@@ -394,21 +402,7 @@ class TestTrajectory:
             r"^integration failed at t=0\.0546: density matrix has negative eigenvalue -\d\.\d{3}e-10; "
             r"try a smaller dt_max$"
         )):
-            trajectory(rho0, chain_liouvillian(TRANSFER_PARAMS), 0.0546, 1, 0.0546)
-
-    def test_argument_validation(self):
-        liou = single_qubit_liouvillian()
-        mm = DensityMatrix.maximally_mixed(2)
-        with pytest.raises(ValueError, match="samples must be at least 1"):
-            trajectory(mm, liou, 1.0, 0)
-        with pytest.raises(ValueError, match="t_final must be positive"):
-            trajectory(mm, liou, 0.0, 3)
-        with pytest.raises(ValueError, match="^t_final must be finite, got inf$"):
-            trajectory(mm, liou, math.inf, 3)
-        with pytest.raises(ValueError, match="^t_final must be positive, got nan$"):
-            trajectory(mm, liou, math.nan, 3)
-        with pytest.raises(ValueError, match="^dt_max must be positive, got nan$"):
-            trajectory(mm, liou, 1.0, 3, math.nan)
+            evolve(rho0, chain_liouvillian(TRANSFER_PARAMS), 0.0546, 1, 0.0546)
 
 
 class TestStateSupport:
@@ -546,26 +540,8 @@ class TestSolverAgreement:
             radius = np.max(np.abs(ev))
             t_final = min(max(18.0 / gap, 50.0), 5e4)
             dt = min(0.05, 1.5 / radius)
-            evolved = evolve(DensityMatrix.maximally_mixed(12), liou, t_final, dt_max=dt)
+            evolved = evolve(DensityMatrix.maximally_mixed(12), liou, t_final, samples=1, dt_max=dt)[-1]
             assert trace_distance(evolved, reference) <= 1e-6
-
-
-def seeded_points(seed=2027, count=48, t_min=0.01):
-    """Resonant and detuned levels, g = 0 on every fourth, T in [t_min, 30], kappa in [1e-5, 0.1]."""
-    rng = np.random.default_rng(seed)
-    points = []
-    for i in range(count):
-        e1, e2, e4 = (1.0, 1.0, 1.0) if i % 2 == 0 else rng.uniform(0.6, 1.6, 3)
-        g = (0.0, 0.0) if i % 4 == 1 else rng.uniform(0.0, 0.3, 2)
-        kappa = 10.0 ** rng.uniform(-5.0, -1.0, 3)
-        temps = 10.0 ** rng.uniform(math.log10(t_min), math.log10(30.0), 3)
-        points.append(SystemParams(
-            e1=float(e1), e2=float(e2), e3=float(e2 + rng.uniform(0.8, 2.2)), e4=float(e4),
-            g_lm=float(g[0]), g_mr=float(g[1]),
-            kappa_l=float(kappa[0]), kappa_m=float(kappa[1]), kappa_r=float(kappa[2]),
-            t_l=float(temps[0]), t_m=float(temps[1]), t_r=float(temps[2]),
-        ))
-    return points
 
 
 def pinned_systems(points, scale=None):
@@ -962,7 +938,7 @@ class TestCurrentTable:
         for p in points:
             liou = chain_liouvillian(p)
             rho0 = DensityMatrix.maximally_mixed(12) if start == "mixed" else DensityMatrix(random_density(rng, 12))
-            states = trajectory(rho0, liou, 50.0, 10, 0.05)
+            states = evolve(rho0, liou, 50.0, 10, 0.05)
             expected = [bath_currents(liou.hamiltonian, liou.channels, s.mat) for s in states]
             expected = np.array([[c.j_l, c.j_m, c.j_r] for c in expected])
             scale = np.max(np.abs(expected))

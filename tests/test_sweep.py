@@ -181,6 +181,25 @@ class TestConfig:
         assert err.startswith("error: ") and "derived column 'big'" in err and "Traceback" not in err
         assert not (tmp_path / "big.csv").exists()
 
+    @pytest.mark.parametrize("derived, name", [
+        ("dT_MR = t_m - t_r\n    dT_MR = t_l", "dT_MR"),
+        ("t_r = t_m", "t_r"),
+        ("j_l = t_m", "j_l"),
+        ("residual = t_m", "residual"),
+        ("status = t_m", "status"),
+    ], ids=["derived_twice", "parameter", "current", "residual", "status"])
+    def test_derived_name_of_another_column_fails_at_load(self, tmp_path, monkeypatch, capsys, derived, name):
+        # two columns of one name would hold one value, and a plot axis would read the wrong one
+        path = tmp_path / "dup.cfg"
+        path.write_text(DERIVED_ONLY_CFG.format(derived), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"derived column '{name}' has the name of another CSV column$"):
+            load_sweep(path)
+        monkeypatch.setattr(triheat.sweep, "steady_states", lambda *args, **kw: pytest.fail("solved"))
+        assert cli_main(["sweep", "--config", str(path), "--out", str(tmp_path / "dup.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"derived column '{name}'" in err and "Traceback" not in err
+        assert not (tmp_path / "dup.csv").exists()
+
     def test_derived_arithmetic(self):
         col = compile_derived("x", "2 * t_m - (t_r + 1.0)")
         assert col.fn({"t_l": 0.0, "t_m": 1.5, "t_r": 0.25}) == pytest.approx(1.75)
