@@ -356,6 +356,26 @@ class TestTrajectory:
         assert len(states) == 21 and np.array_equal(states[0].mat, rho0)
         assert max(np.max(np.abs(a.mat - b.mat)) for a, b in zip(states, reference)) <= 1e-12
 
+    @pytest.mark.parametrize("case", ["random", "mixed"])
+    def test_one_interval_matches_explicit_rk4_steps(self, rng, case):
+        liou = transfer_liouvillian()
+        rho0 = random_density(rng, 12) if case == "random" else np.eye(12, dtype=complex) / 12
+        reference, steps = rk4_loop(rho0, liou, 40.0, 0.05)
+        assert steps % (steps // 200) == 0  # the run ends on a whole stride
+        first, last = evolve(DensityMatrix(rho0), liou, 40.0, 1, 0.05)
+        assert np.array_equal(first.mat, rho0)
+        assert np.max(np.abs(last.mat - reference)) <= 1e-12
+
+    def test_argument_validation(self):
+        # samples is checked before it divides the horizon: 0 is a ValueError, not a ZeroDivisionError
+        liou = single_qubit_liouvillian()
+        mm = DensityMatrix.maximally_mixed(2)
+        for samples in (0, -2):
+            with pytest.raises(ValueError, match=f"^samples must be at least 1, got {samples}$"):
+                evolve(mm, liou, 1.0, samples)
+        with pytest.raises(ValueError, match="^state dimension 2 does not match generator dimension 12$"):
+            evolve(mm, transfer_liouvillian(), 40.0, 20)
+
     @pytest.mark.parametrize("interval, start", [(8.0, 192.0), (12.0, 12.0)])
     def test_blow_up_in_a_later_interval_matches_the_loop(self, interval, start):
         # The coherent mixture breaks positivity within the first step at
