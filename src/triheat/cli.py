@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import ConfigError, load_params, load_sweep
 from .lindblad import rhs_apply, unvec, vec
-from .model import SystemParams, gibbs_state
+from .model import BATHS, SystemParams, gibbs_state
 from .observables import reduced_populations
 from .solvers import (
     EIG_FLOOR,
@@ -38,8 +38,8 @@ from .solvers import (
     steady_states,
     trace_distance,
 )
-from .sweep import STATUS_OK, emit_csv, run_sweep
-from .svgplot import check_plot, emit_plot
+from .sweep import STATUS_OK, emit_csv, run_sweep, write_csv
+from .svgplot import emit_plot
 
 # The generators come from solvers.chain_liouvillian, every current from the
 # block engine and every steady state from solvers.steady_states.
@@ -102,8 +102,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     plot = args.plot or spec.plot_path
     if out is None:
         raise ConfigError("no output path: pass --out or set 'out' in [sweep]")
-    if plot is not None:
-        check_plot(spec)
     rows = run_sweep(spec, threads=args.threads)
     emit_csv(rows, spec, out)
     failed = Counter(r.reason for r in rows if r.status != STATUS_OK)
@@ -127,10 +125,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     problem = next(filter(None, problems), None)
     if problem is not None:
         raise ValueError("heat_current: " + problem)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,j_l,j_m,j_r\n")
-        for t, cur in zip(times, currents):
-            fh.write(",".join(format(v, ".17g") for v in (t, *cur)) + "\n")
+    write_csv(args.out, ("t", *BATHS), ((t, *cur) for t, cur in zip(times, currents)))
     print(f"wrote {len(times)} samples to {args.out}")
     return 0
 

@@ -20,7 +20,8 @@ finite float, an expression too deep to parse or compile, or a name that
 another CSV column already has (a parameter, a current, the residual, the
 status or another derived column) is a ConfigError at load that names the
 column; a zero divisor or a non-finite value at a grid point is one before
-any solve. Files are read as UTF-8; other keys are ignored.
+any solve. A plot_x or plot_y that is not a CSV column (or is the status) is
+one at load, plot or no plot. Files are read as UTF-8; other keys are ignored.
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ from __future__ import annotations
 import ast
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .model import SystemParams
+from .model import BATHS, SystemParams
 
 _SECTIONS = {
     "energies": ("e1", "e2", "e3", "e4"),
@@ -47,6 +48,9 @@ _FIELD_SECTION = {name: sec for sec, names in _SECTIONS.items() for name in name
 DERIVED_NAMES = ("t_l", "t_m", "t_r")
 # The derived-column grammar: these nodes, the names in DERIVED_NAMES, and int or float constants.
 _DERIVED_NODES = (ast.Expression, ast.Load, ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.UnaryOp, ast.UAdd, ast.USub)
+PARAM_FIELDS = tuple(f.name for f in fields(SystemParams))
+# The SweepRow fields written after the parameters: one current per bath, then the residual.
+RESULT_COLUMNS = (*BATHS, "residual")
 
 
 class ConfigError(ValueError):
@@ -77,6 +81,8 @@ class DerivedColumn:
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """A sweep definition; it refuses a repeated CSV column name and a plot column that cannot be plotted."""
+
     base: SystemParams
     axis1: SweepAxis
     axis2: SweepAxis | None = None
@@ -85,6 +91,20 @@ class SweepSpec:
     plot_path: str | None = None
     plot_x: str | None = None
     plot_y: str = "j_l"
+
+    def __post_init__(self) -> None:
+        columns = csv_columns(self)
+        for i, name in enumerate(columns):  # the other columns' names are distinct, so a repeat is a derived column's
+            if name in columns[:i]:
+                raise ConfigError(f"derived column {name!r} has the name of another CSV column")
+        plottable = columns[:-1]  # every column but the status
+        for key, column in (("plot_x", self.plot_x), ("plot_y", self.plot_y)):
+            if column is not None and column not in plottable:
+                raise ConfigError(f"{key} {column!r} is not a plottable column; choose one of {', '.join(plottable)}")
+
+
+def csv_columns(spec: SweepSpec) -> list[str]:
+    return [*PARAM_FIELDS, *RESULT_COLUMNS, *(c.name for c in spec.derived), "status"]
 
 
 def compile_derived(name: str, expression: str) -> DerivedColumn:
@@ -214,22 +234,16 @@ def load_sweep(path: str | Path) -> SweepSpec:
     if axis2 is not None and axis2.field_name == axis1.field_name:
         raise ConfigError(f"{path}: axis1 and axis2 sweep the same parameter {axis1.path!r}")
     derived = _parse_derived(parser.get("sweep", "derived", fallback=""))
-    spec = SweepSpec(
-        base=base,
-        axis1=axis1,
-        axis2=axis2,
-        derived=derived,
-        output_path=parser.get("sweep", "out", fallback=None),
-        plot_path=parser.get("sweep", "plot", fallback=None),
-        plot_x=parser.get("sweep", "plot_x", fallback=None),
-        plot_y=parser.get("sweep", "plot_y", fallback="j_l"),
-    )
-    from .sweep import csv_columns  # sweep imports this module, so not at the top
-
-    # the other columns' names are distinct, so a repeated name is a derived column's
-    seen = set()
-    for name in csv_columns(spec):
-        if name in seen:
-            raise ConfigError(f"{path}: derived column {name!r} has the name of another CSV column")
-        seen.add(name)
-    return spec
+    try:
+        return SweepSpec(
+            base=base,
+            axis1=axis1,
+            axis2=axis2,
+            derived=derived,
+            output_path=parser.get("sweep", "out", fallback=None),
+            plot_path=parser.get("sweep", "plot", fallback=None),
+            plot_x=parser.get("sweep", "plot_x", fallback=None),
+            plot_y=parser.get("sweep", "plot_y", fallback="j_l"),
+        )
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc

@@ -87,8 +87,11 @@ NULL_TRACE_FLOOR = 1e-8  # |trace| of the unit-norm null vector below this: no s
 BALANCE_TOL = 1e-10  # see balanced
 # Points per batched solve. A warm pass over the three figure sweeps (one
 # BLAS thread, medians of 24 interleaved passes) took 0.37, 0.32, 0.29, 0.28
-# and 0.31 s at 8, 16, 32, 64 and 128 points. It stays at 16 all the same:
-# the size of the assembly product can change its rounding, and so the outputs.
+# and 0.31 s at 8, 16, 32, 64 and 128 points. At one BLAS thread the assembly
+# product gives all 1160 figure points the same bits at batch sizes 2, 3, 8, 32,
+# 64 and 128 as at 16, but not at 1 (numpy's matrix-vector path). So only a lone
+# point, `triheat steady`'s or the last of a grid of 16k + 1 points, can differ
+# in its last bits from the same point solved in a chunk.
 CHUNK = 16
 
 
@@ -718,7 +721,10 @@ def evolve(
         raise ValueError(f"dt_max must be positive, got {dt_max}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    per_interval = t_final / samples / dt_max  # steps per output interval, before rounding up
+    try:
+        per_interval = t_final / samples / dt_max  # steps per output interval, before rounding up
+    except OverflowError:  # a samples too large for a float
+        per_interval = math.inf
     if not math.isfinite(per_interval):
         raise ValueError(f"the step count t_final / samples / dt_max = {t_final} / {samples} / {dt_max} overflows")
     if rho0.dim != liouvillian.dim:

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .config import ConfigError, SweepSpec
-from .sweep import STATUS_OK, SweepRow, csv_columns, row_value
+from .config import SweepSpec
+from .sweep import STATUS_OK, SweepRow, row_value
 
 WIDTH, HEIGHT = 720, 540
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 90, 30, 40, 70
@@ -98,19 +98,10 @@ def plot_style(spec: SweepSpec) -> str:
     return "lines"
 
 
-def check_plot(spec: SweepSpec) -> None:
-    """Raise ConfigError if ``emit_plot`` cannot draw the spec's plot, so a sweep can fail before its solves."""
-    plottable = [c for c in csv_columns(spec) if c != "status"]
-    for key, column in (("plot_x", spec.plot_x), ("plot_y", spec.plot_y)):
-        if column is not None and column not in plottable:
-            raise ConfigError(f"{key} {column!r} is not a plottable column; choose one of {', '.join(plottable)}")
-
-
 def emit_plot(rows: list[SweepRow], spec: SweepSpec, path: str | Path) -> None:
     """Write the sweep as a standalone SVG file."""
     if not rows:
         raise ValueError("emit_plot: no rows to draw")
-    check_plot(spec)
     style = plot_style(spec)
     parts = _plot_heatmap(rows, spec) if style == "heatmap" else _plot_lines(rows, spec)
     parts.append("</svg>")

@@ -10,13 +10,13 @@ check that failed, never dropped.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Sequence
 
-from .config import DERIVED_NAMES, SweepSpec
-from .model import BATHS, SystemParams
+from .config import DERIVED_NAMES, PARAM_FIELDS, RESULT_COLUMNS, SweepSpec, csv_columns
+from .model import SystemParams
 from .solvers import PointSolve, steady_states
 
 # The per-point path is no longer called here. perfbench's tracer wraps these
@@ -25,9 +25,6 @@ from .lindblad import build_superoperator  # noqa: F401
 from .model import bath_channels, total_hamiltonian  # noqa: F401
 from .solvers import steady_state  # noqa: F401
 
-PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(SystemParams))
-# The SweepRow fields written after the parameters: one current per bath, then the residual.
-RESULT_COLUMNS = (*BATHS, "residual")
 STATUS_OK = "ok"
 STATUS_FAILED = "solver_failed"
 
@@ -80,30 +77,26 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
     return list(map(_row, points, derived, steady_states(points, threads)))
 
 
-def csv_columns(spec: SweepSpec) -> list[str]:
-    return list(PARAM_FIELDS) + list(RESULT_COLUMNS) + [c.name for c in spec.derived] + ["status"]
-
-
-def _fmt(value: float) -> str:
-    return format(value, ".17g")
+def write_csv(path: str | Path, header: Sequence[str], records: Iterable[Sequence[float | str]]) -> None:
+    """UTF-8, LF endings, floats in 17 significant digits (round-trip exact); no string is quoted, so none may hold a comma."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(",".join(header) + "\n")
+            for record in records:
+                fh.write(",".join(v if isinstance(v, str) else format(v, ".17g") for v in record) + "\n")
+    except OSError as exc:
+        raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 
 
 def emit_csv(rows: list[SweepRow], spec: SweepSpec, path: str | Path) -> None:
-    """UTF-8 CSV, 17-significant-digit floats (round-trip exact), LF endings."""
+    """The rows under ``csv_columns(spec)``, by ``write_csv``."""
     if not rows:
         raise ValueError("emit_csv: no rows to write")
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(csv_columns(spec))
-            for row in rows:
-                record = [_fmt(getattr(row.params, f)) for f in PARAM_FIELDS]
-                record += [_fmt(getattr(row, c)) for c in RESULT_COLUMNS]
-                record += [_fmt(row.derived[c.name]) for c in spec.derived]
-                record.append(row.status)
-                writer.writerow(record)
-    except OSError as exc:
-        raise OSError(f"cannot write CSV to {path}: {exc}") from exc
+    write_csv(path, csv_columns(spec), (
+        [*(getattr(row.params, f) for f in PARAM_FIELDS), *(getattr(row, c) for c in RESULT_COLUMNS),
+         *(row.derived[c.name] for c in spec.derived), row.status]
+        for row in rows
+    ))
 
 
 def row_value(row: SweepRow, column: str) -> float:

@@ -130,19 +130,26 @@ class TestSweep:
         assert len(out.read_text(encoding="utf-8").strip().split("\n")) == 101
         assert plot.exists()
 
-    @pytest.mark.parametrize("edit, message", [
-        (("plot_y = j_l", "plot_y = bogus"), "plot_y 'bogus' is not a plottable column"),
-    ], ids=["unknown-column"])
-    def test_bad_plot_settings_fail_before_any_solve(self, tmp_path, capsys, edit, message):
+    @pytest.mark.parametrize("plot", [True, False], ids=["unknown-column", "unknown-column-no-plot"])
+    def test_bad_plot_settings_fail_before_any_solve(self, tmp_path, capsys, plot):
+        # the plot keys are checked at load, whether or not a plot is asked for
         cfg = tmp_path / "plot.cfg"
-        text = (SCRIPTS / "transfer_curve.cfg").read_text(encoding="utf-8")
-        cfg.write_text(text.replace(*edit), encoding="utf-8")
+        text = (SCRIPTS / "transfer_curve.cfg").read_text(encoding="utf-8").replace("plot_y = j_l", "plot_y = bogus")
+        cfg.write_text(text if plot else re.sub(r"(?m)^plot = .*\n", "", text), encoding="utf-8")
         out = tmp_path / "rows.csv"
-        code = cli_main(["sweep", "--config", str(cfg), "--out", str(out), "--plot", str(tmp_path / "rows.svg")])
+        plot_args = ["--plot", str(tmp_path / "rows.svg")] if plot else []
+        code = cli_main(["sweep", "--config", str(cfg), "--out", str(out), *plot_args])
         assert code == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: {message}") and captured.out == ""
+        assert captured.err.startswith(f"error: {cfg}: plot_y 'bogus' is not a plottable column; choose one of e1, ")
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
         assert not out.exists()
+
+    def test_unwritable_output_is_named(self, small_sweep_cfg, tmp_path, capsys):
+        out = tmp_path / "no_such_dir" / "rows.csv"
+        assert cli_main(["sweep", "--config", str(small_sweep_cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write CSV to {out}: ")
 
     def test_no_threads_exits_with_reason(self, small_sweep_cfg, tmp_path, capsys):
         out = tmp_path / "rows.csv"
@@ -216,7 +223,8 @@ class TestEvolve:
     @pytest.mark.parametrize("options, values", [
         (["--dt-max", "1e-320"], "1000.0 / 100 / 1e-320"),
         (["--t-final", "1e308", "--samples", "1", "--dt-max", "0.001"], "1e+308 / 1 / 0.001"),
-    ], ids=["tiny-step", "huge-horizon"])
+        (["--samples", "1" + "0" * 400], "1000.0 / 1" + "0" * 400 + " / 0.01"),
+    ], ids=["tiny-step", "huge-horizon", "400-digit-samples"])
     def test_rejects_an_overflowing_step_count(self, tmp_path, capsys, options, values):
         out = tmp_path / "x.csv"
         code = cli_main(["evolve", "--config", str(SCRIPTS / "transfer_curve.cfg"), "--out", str(out), *options])
@@ -224,6 +232,13 @@ class TestEvolve:
         message = f"the step count t_final / samples / dt_max = {values} overflows"
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_unwritable_output_is_named(self, point_cfg, tmp_path, capsys):
+        out = tmp_path / "no_such_dir" / "e.csv"
+        code = cli_main(["evolve", "--config", str(point_cfg), "--out", str(out), "--t-final", "1", "--samples", "2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write CSV to {out}: ") and err.count("\n") == 1
 
     def test_imaginary_current_residue_exits_with_reason(self, tmp_path, capsys):
         # POINT_CFG's energies, couplings and temperatures times 3e5 (rates

@@ -283,12 +283,24 @@ class TestEvolve:
         with pytest.raises(ValueError, match="^dt_max must be positive, got nan$"):
             evolve(mm, liou, 1.0, 3, math.nan)
 
-    @pytest.mark.parametrize("t_final, samples, dt_max", [(2.0, 1, 1e-320), (1e308, 1, 0.001)])
+    @pytest.mark.parametrize("t_final, samples, dt_max", [
+        (2.0, 1, 1e-320),
+        (1e308, 1, 0.001),
+        pytest.param(2.0, 10**400, 0.01, id="400-digit-samples"),  # too large for a float
+    ])
     def test_rejects_an_overflowing_step_count(self, t_final, samples, dt_max):
         # every value is finite and positive, but the steps per interval overflow to inf
         message = f"the step count t_final / samples / dt_max = {t_final} / {samples} / {dt_max} overflows"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             evolve(DensityMatrix.maximally_mixed(2), single_qubit_liouvillian(), t_final, samples, dt_max)
+
+    def test_output_trace_drift_is_named(self):
+        # the leaky generator L + 5e-10 I scales the trace by e^(5e-10 t), 1 + 5e-9 at t = 10: inside the
+        # run's checks at 10 TRACE_DRIFT_TOL, outside the output state's bound of TRACE_DRIFT_TOL
+        liou = single_qubit_liouvillian()
+        leaky = dataclasses.replace(liou, matrix=liou.matrix + 5e-10 * np.eye(4))
+        with pytest.raises(IntegrationError, match=r"^trace drifted by 5\.000e-09 over the run; try a smaller dt_max$"):
+            evolve(DensityMatrix.maximally_mixed(2), leaky, t_final=10.0, samples=1, dt_max=0.01)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension 2 does not match generator dimension 12"):

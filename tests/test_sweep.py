@@ -18,7 +18,7 @@ from triheat.sweep import (
     row_value,
     run_sweep,
 )
-from triheat.svgplot import emit_plot, plot_style
+from triheat.svgplot import _span, emit_plot, plot_style
 from triheat.cli import cli_main
 from triheat.config import compile_derived
 from conftest import TRANSFER_PARAMS
@@ -117,6 +117,7 @@ class TestConfig:
             "temperatures.t_r : 0.1 : 0.1 : 4",       # start == stop
             "temperatures.t_r : 0.1 : inf : 4",       # non-finite stop
             "temperatures.t_r : nan : 0.6 : 4",       # non-finite start
+            "temperatures.t_r : 0.1 : hot : 4",       # non-numeric stop
         ],
     )
     def test_bad_axes(self, tmp_path, axis):
@@ -124,6 +125,30 @@ class TestConfig:
         path.write_text(BASE_CFG + f"[sweep]\naxis1 = {axis}\n", encoding="utf-8")
         with pytest.raises(ConfigError):
             load_sweep(path)
+
+    @pytest.mark.parametrize("text, message", [
+        (BASE_CFG.replace("[rates]", "[nonsense]"), r"missing section \[rates\]$"),
+        (BASE_CFG, r"missing section \[sweep\]$"),
+        (BASE_CFG + "[sweep]\naxis2 = temperatures.t_r : 0.1 : 0.6 : 4\n", r"\[sweep\] must define axis1$"),
+        (DERIVED_ONLY_CFG.format("dT_MR t_m - t_r"), r"^derived line must look like 'name = expression', got 'dT_MR t_m - t_r'$"),
+        (DERIVED_ONLY_CFG.format("d T = t_m"), r"^derived column name 'd T' is not a valid identifier$"),
+    ], ids=["params-section", "sweep-section", "axis1", "derived-without-equals", "derived-name"])
+    def test_malformed_sweep_config(self, tmp_path, text, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=message):
+            load_sweep(path)
+
+    def test_hand_built_spec_refuses_a_repeated_column(self):
+        with pytest.raises(ConfigError, match="^derived column 'x' has the name of another CSV column$"):
+            synthetic_spec(4, derived=[("x", "t_m"), ("x", "t_l")])
+
+    @pytest.mark.parametrize("key", ["plot_x", "plot_y"])
+    @pytest.mark.parametrize("column", ["bogus", "status"])
+    def test_hand_built_spec_refuses_a_column_it_cannot_plot(self, key, column):
+        spec = synthetic_spec(4, derived=[("x", "t_m")])
+        with pytest.raises(ConfigError, match=f"^{key} '{column}' is not a plottable column; choose one of e1, .*, residual, x$"):
+            dataclasses.replace(spec, **{key: column})
 
     def test_duplicate_axes_rejected(self, tmp_path):
         path = tmp_path / "dup.cfg"
@@ -405,6 +430,24 @@ class TestEmitPlot:
         match = re.search(r'<polyline[^>]*points="([^"]+)"', out.read_text(encoding="utf-8"))
         ys = [float(pt.split(",")[1]) for pt in match.group(1).split()]
         assert all(b < a for a, b in zip(ys, ys[1:]))  # pixel y falls as value rises
+
+    def test_failed_point_left_out_of_its_polyline(self, tmp_path):
+        spec = synthetic_spec(6)
+        rows = synthetic_rows(spec, [0.0, 0.1, 0.25, 0.5, 0.7, 1.0])
+        rows[2] = dataclasses.replace(rows[2], status="solver_failed")  # left out by its status, not its value
+        out = tmp_path / "plot.svg"
+        emit_plot(rows, spec, out)
+        match = re.search(r'<polyline[^>]*points="([^"]+)"', out.read_text(encoding="utf-8"))
+        assert len(match.group(1).split()) == 5
+
+    @pytest.mark.parametrize("values, span", [
+        ([-1.0, 3.0, float("nan")], (-1.0, 3.0)),
+        ([2.0, 2.0, float("inf")], (2.0 - 2e-3, 2.0 + 2e-3)),  # all equal: padded by 1e-3 of the value
+        ([0.0], (-1e-3, 1e-3)),  # padded by at least 1e-3
+        ([float("nan"), float("-inf")], (-1.0, 1.0)),  # nothing finite
+    ], ids=["finite", "all-equal", "all-zero", "none-finite"])
+    def test_span(self, values, span):
+        assert _span(values) == span
 
     def test_heatmap_cell_count(self, tmp_path):
         spec = dataclasses.replace(synthetic_spec(4, 12))
