@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
@@ -85,13 +86,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_steady(args: argparse.Namespace) -> int:
     params = load_params(args.config)
-    result = steady_states([params])[0].result()
-    cur = result.currents
+    (solved,) = steady_states([params])
+    if solved.error is not None:
+        raise solved.error
+    cur = solved.currents
     print(f"J_L = {cur.j_l:+.12e}")
     print(f"J_M = {cur.j_m:+.12e}")
     print(f"J_R = {cur.j_r:+.12e}")
-    print(f"residual = {result.residual:.3e}")
-    for name, pops in zip(("left", "middle", "right"), reduced_populations(result.state.mat)):
+    print(f"residual = {solved.residual:.3e}")
+    for name, pops in zip(("left", "middle", "right"), reduced_populations(solved.rho)):
         print(f"populations {name}: " + " ".join(f"{p:.6f}" for p in pops))
     return 0
 
@@ -102,6 +105,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     plot = args.plot or spec.plot_path
     if out is None:
         raise ConfigError("no output path: pass --out or set 'out' in [sweep]")
+    for kind, path in (("CSV", out), ("SVG", plot)):  # a missing directory fails before the grid is solved
+        if path is not None and not Path(path).parent.is_dir():
+            raise OSError(f"cannot write {kind} to {path}: {Path(path).parent} is not a directory")
     rows = run_sweep(spec, threads=args.threads)
     emit_csv(rows, spec, out)
     failed = Counter(r.reason for r in rows if r.status != STATUS_OK)
@@ -143,14 +149,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
     h, channels = liou.hamiltonian, liou.channels
     free = dataclasses.replace(params, g_lm=0.0, g_mr=0.0)
     solved, free_solved = steady_states([params, free])
-    result = solved.result()
-    report("steady-state residual", result.residual <= RESIDUAL_TOL, f"residual {result.residual:.3e}")
+    if solved.error is not None:
+        raise solved.error
+    report("steady-state residual", solved.residual <= RESIDUAL_TOL, f"residual {solved.residual:.3e}")
 
-    cur = result.currents
+    cur = solved.currents
     ok = bool(balanced(np.array([cur.j_l, cur.j_m, cur.j_r])))
     report("current conservation", ok, f"|J_L+J_M+J_R| = {abs(cur.total()):.3e}")
 
-    min_eig = float(np.linalg.eigvalsh(result.state.mat).min())
+    min_eig = float(np.linalg.eigvalsh(solved.rho).min())
     report("positivity", min_eig >= EIG_FLOOR, f"min eigenvalue {min_eig:.3e}")
 
     # each sample is held to round-off at the generator's and its own scale
@@ -166,16 +173,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
         ok = ok and deviation <= 1e-14 * scale * np.max(np.abs(rho))
     report("superoperator consistency", ok, f"max deviation {worst:.3e}")
 
-    try:
-        free_result = free_solved.result()
-    except SteadyStateError as exc:  # the twin's rates alone can fall below a solver bound
-        report("uncoupled thermalization", False, str(exc))
+    if free_solved.error is not None:  # the twin's rates alone can fall below a solver bound
+        report("uncoupled thermalization", False, str(free_solved.error))
     else:
         expected = np.kron(
             gibbs_state([0.0, free.e1], free.t_l),
             np.kron(gibbs_state([0.0, free.e2, free.e3], free.t_m), gibbs_state([0.0, free.e4], free.t_r)),
         )
-        dist = trace_distance(free_result.state.mat, expected)
+        dist = trace_distance(free_solved.rho, expected)
         report("uncoupled thermalization", dist <= 1e-10, f"trace distance {dist:.3e}")
 
     # the engine's kept blocks; each dropped mirror block has the conjugates of its kept block's eigenvalues.
@@ -191,7 +196,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     except IntegrationError as exc:
         report("solver agreement", False, str(exc))
     else:
-        agree = trace_distance(evolved, result.state)
+        agree = trace_distance(evolved, solved.rho)
         report("solver agreement", agree <= 1e-6, f"trace distance {agree:.3e} at t={t_final:.4g}")
 
     return 1 if failures else 0

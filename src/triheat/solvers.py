@@ -10,13 +10,12 @@ RK4 integration of d vec(rho)/dt = L vec(rho). L is linear, so
 that the initial state can reach through L, powers it from one state check
 to the next, and carries every output interval's checked states to the
 next interval with one matrix product.
-The state checks run on the support's entries and on the diagonal blocks
-the support splits the state into, and positivity is decided from the
-blocks' LDL^H pivots with elementwise operations rather than measured with
-a LAPACK call per matrix. The test suite cross-checks the two
-algorithms against each other, checks ``evolve`` against explicit RK4
-steps and against a loop of one-interval ``evolve`` calls, and checks
-the matrix itself against the operator form ``rhs_apply``.
+``evolve`` and the block engine below judge a state by one check on its
+support, ``StateSupport.broken_bounds``, which decides positivity from LDL^H
+pivots with elementwise operations; ``eigvalsh`` only words a failure. The
+test suite cross-checks the two algorithms against each other, checks
+``evolve`` against explicit RK4 steps and against a loop of one-interval
+``evolve`` calls, and checks the matrix itself against ``rhs_apply``.
 
 ``steady_states`` is the batched engine that every steady state of the
 CLI comes from (``sweep``, ``steady`` and ``check``); the SVD
@@ -128,9 +127,10 @@ class DensityMatrix:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise ValueError("density matrix has non-finite entries")
-        problem = _state_violation(*_state_defects(m))
-        if problem is not None:
-            raise ValueError(problem)
+        defects = _state_defects(m)
+        broken = [not defects[0] <= HERM_TOL, not defects[1] <= TRACE_TOL, not defects[2] >= EIG_FLOOR]
+        if any(broken):  # the first bound broken
+            raise ValueError(_STATE_BOUNDS[broken.index(True)].format(defects[broken.index(True)]))
 
     @property
     def dim(self) -> int:
@@ -148,15 +148,9 @@ def _state_defects(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return herm, tr_err, np.linalg.eigvalsh(m).min(axis=-1)
 
 
-def _state_violation(herm: float, tr_err: float, min_eig: float) -> str | None:
-    """The first density-matrix invariant the defects break, or None."""
-    if not herm <= HERM_TOL:
-        return f"density matrix not Hermitian: defect {herm:.3e}"
-    if not tr_err <= TRACE_TOL:
-        return f"density matrix trace deviates from 1 by {tr_err:.3e}"
-    if not min_eig >= EIG_FLOOR:
-        return f"density matrix has negative eigenvalue {min_eig:.3e}"
-    return None
+# each density-matrix bound's failure, in the order of _state_defects and StateSupport.broken_bounds
+_STATE_BOUNDS = ("density matrix not Hermitian: defect {:.3e}", "density matrix trace deviates from 1 by {:.3e}",
+                 "density matrix has negative eigenvalue {:.3e}")
 
 
 @dataclass(frozen=True)
@@ -240,12 +234,6 @@ class PointSolve:
     def rho(self) -> np.ndarray | None:
         """The steady state as a dim x dim matrix, or None when the point failed."""
         return None if self.x is None else block_engine().layout.matrices(self.x)
-
-    def result(self) -> SteadyStateResult:
-        """The validated result, or the point's SteadyStateError raised."""
-        if self.error is not None:
-            raise self.error
-        return SteadyStateResult(state=DensityMatrix(self.rho), residual=self.residual, currents=self.currents)
 
 
 def generator_coefficients(p: SystemParams) -> list[float]:
@@ -409,9 +397,9 @@ class BlockEngine:
     def solve_blocks(self, blocks: list[np.ndarray], coef: np.ndarray) -> list[PointSolve]:
         """Steady states from assembled blocks; a point that fails any check fails alone.
 
-        The checks and bounds are ``steady_state``'s, in its order. Each
-        runs only on the points that passed the ones before it, so a
-        non-finite or singular point cannot spoil its neighbours.
+        The checks and bounds are ``steady_state``'s, in its order, the state's
+        by ``StateSupport.broken_bounds``. Each runs only on the points that
+        passed the ones before it, so a bad point cannot spoil its neighbours.
         """
         n = len(coef)
         errors: list[SteadyStateError | None] = [None] * n
@@ -474,10 +462,10 @@ class BlockEngine:
         x = x[keep]
         residual = residual[keep]
 
-        rho = self.layout.matrices(x)
-        problems = [_state_violation(*d) for d in zip(*_state_defects(rho))]
-        keep = np.array([p is None for p in problems], dtype=bool)
-        drop(~keep, "invalid_state", lambda k: _INVALID_STATE + problems[k])
+        broken = self.layout.broken_bounds(x, HERM_TOL, TRACE_TOL, EIG_FLOOR)
+        first, keep = broken.argmax(axis=0), ~broken.any(axis=0)  # only a failing state is measured, to word it
+        drop(~keep, "invalid_state", lambda k: _INVALID_STATE + _STATE_BOUNDS[first[k]].format(
+            _state_defects(self.layout.matrices(x[k]))[first[k]]))
         x, residual = x[keep], residual[keep]
 
         currents, problems = self.heat_currents(coef[alive], x)
@@ -605,12 +593,17 @@ class StateSupport:
         full[..., self.index] = x
         return unvec(full)
 
-    def hermiticity_and_trace(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each state's Hermiticity defect and trace error, as ``_state_defects``, for a stack of support vectors."""
+    def broken_bounds(self, x: np.ndarray, herm_tol: float, trace_tol: float, floor: float) -> np.ndarray:
+        """Per state of a stack of support vectors, whether it breaks each bound, as a (3, n) bool array.
+
+        The rows: a Hermiticity defect above ``herm_tol``, a trace error above ``trace_tol`` (both as
+        ``_state_defects``) and ``bounded_below``'s refusal. A NaN defect breaks its bound.
+        """
         # an entry off the support reads the appended zero column
         partner = np.concatenate([x, np.zeros((len(x), 1), dtype=x.dtype)], axis=1)[:, self.partner]
         herm = np.abs(x - partner.conj()).max(axis=1)
-        return herm, np.abs(x[:, self.diagonal].sum(axis=1) - 1.0)
+        tr_err = np.abs(x[:, self.diagonal].sum(axis=1) - 1.0)
+        return np.array([~(herm <= herm_tol), ~(tr_err <= trace_tol), ~self.bounded_below(x, floor)])
 
     def bounded_below(self, x: np.ndarray, floor: float) -> np.ndarray:
         """Whether each state of a stack of support vectors has no eigenvalue below ``floor``, decided without eigenvalues.
@@ -645,18 +638,16 @@ def _first_bad_sample(x: np.ndarray, support: StateSupport) -> tuple[int, str] |
 
     The checks are those of a density matrix at 10x its tolerances, in the
     order finite, Hermitian, trace drift, smallest eigenvalue; the failed
-    ones are listed in that order. None if all states pass. The smallest
-    eigenvalue is decided by ``StateSupport.bounded_below``, and only the
-    first failing state's full matrix is measured, by ``_state_defects``, to
-    word the message.
+    ones are listed in that order. None if all states pass. The last three are
+    ``StateSupport.broken_bounds``; only the first failing state's full matrix
+    is measured, by ``_state_defects``, to word the message.
     The states from the first non-finite one on are not measured, so a
     blow-up never reaches LAPACK.
     """
     finite = np.isfinite(x).all(axis=1)
     n = len(x) if finite.all() else int(np.argmin(finite))
-    herm, tr_err = support.hermiticity_and_trace(x[:n])
-    bad = (herm > 10 * HERM_TOL, tr_err > 10 * TRACE_DRIFT_TOL, ~support.bounded_below(x[:n], 10 * EIG_FLOOR))
-    failing = np.flatnonzero(np.logical_or.reduce(bad))
+    bad = support.broken_bounds(x[:n], 10 * HERM_TOL, 10 * TRACE_DRIFT_TOL, 10 * EIG_FLOOR)
+    failing = np.flatnonzero(bad.any(axis=0))
     if failing.size:
         k = int(failing[0])
         values = _state_defects(support.matrices(x[k]))
@@ -701,10 +692,8 @@ def evolve(
     every ``max(1, steps // 200)`` steps and at the interval's end. The first
     interval's checked states come from P powered to that stride, and each
     later interval's from the previous ones times P^steps; one interval is
-    checked at a time. The smallest-eigenvalue check is the decision
-    ``StateSupport.bounded_below`` over all of an interval's blocks at once,
-    and only the first failing state's eigenvalues are measured, for the
-    message. A breach raises IntegrationError naming the first failing
+    checked at a time, by ``StateSupport.broken_bounds`` on all its states at
+    once. A breach raises IntegrationError naming the first failing
     state's time since ``rho0`` and every check it fails (typically an
     unstable step size).
 

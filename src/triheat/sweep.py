@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .config import DERIVED_NAMES, PARAM_FIELDS, RESULT_COLUMNS, SweepSpec, csv_columns
+from .config import DERIVED_NAMES, PARAM_FIELDS, RESULT_COLUMNS, ConfigError, SweepSpec, csv_columns
 from .model import SystemParams
 from .solvers import PointSolve, steady_states
 
@@ -45,7 +45,8 @@ def grid_points(spec: SweepSpec) -> list[SystemParams]:
     """All parameter records of the grid, axis2-major, axis1 fastest.
 
     Every point is validated here, before any solve, so an invalid corner
-    (say a temperature crossing zero) aborts the sweep up front.
+    (say a temperature crossing zero) aborts the sweep up front with a
+    ``ConfigError`` that names the point's swept values.
     """
     axis1_values = spec.axis1.values()
     axis2_values = spec.axis2.values() if spec.axis2 is not None else [None]
@@ -55,7 +56,11 @@ def grid_points(spec: SweepSpec) -> list[SystemParams]:
             updates = {spec.axis1.field_name: float(v1)}
             if spec.axis2 is not None:
                 updates[spec.axis2.field_name] = float(v2)
-            points.append(dataclasses.replace(spec.base, **updates))
+            try:
+                points.append(dataclasses.replace(spec.base, **updates))
+            except ValueError as exc:
+                swept = ", ".join(f"{name} = {value!r}" for name, value in updates.items())
+                raise ConfigError(f"grid point {swept}: {exc}") from None
     return points
 
 

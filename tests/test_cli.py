@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from triheat import DensityMatrix, bath_channels, build_superoperator, evolve, load_params, total_hamiltonian
+from triheat import solvers
 from triheat.cli import cli_main, main
 from triheat.observables import bath_currents
 from conftest import seeded_points
@@ -150,6 +151,32 @@ class TestSweep:
         out = tmp_path / "no_such_dir" / "rows.csv"
         assert cli_main(["sweep", "--config", str(small_sweep_cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: cannot write CSV to {out}: ")
+
+    @pytest.mark.parametrize("config, output", [("coupling_gate_map", "CSV"), ("transfer_curve", "SVG")])
+    def test_missing_output_directory_fails_before_any_solve(self, tmp_path, capsys, monkeypatch, config, output):
+        monkeypatch.setattr(solvers, "block_engine", lambda: pytest.fail("solved before the outputs were checked"))
+        out, plot = tmp_path / "rows.csv", tmp_path / "rows.svg"
+        missing = tmp_path / "no_such_dir" / f"rows.{output.lower()}"
+        if output == "CSV":
+            out = missing
+        else:
+            plot = missing
+        code = cli_main(["sweep", "--config", str(SCRIPTS / f"{config}.cfg"), "--out", str(out), "--plot", str(plot)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {output} to {missing}: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not out.exists() and not plot.exists()
+
+    def test_invalid_grid_point_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "negative.cfg"
+        text = (SCRIPTS / "transfer_curve.cfg").read_text(encoding="utf-8")
+        cfg.write_text(re.sub(r"(?m)^axis1 = .*$", "axis1 = temperatures.t_r : -0.5 : 0.5 : 3", text), encoding="utf-8")
+        out = tmp_path / "rows.csv"
+        assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: grid point t_r = -0.5: bath temperatures must be positive\n"
+        assert captured.out == "" and not out.exists()
 
     def test_no_threads_exits_with_reason(self, small_sweep_cfg, tmp_path, capsys):
         out = tmp_path / "rows.csv"

@@ -289,7 +289,7 @@ class TestGrid:
             base=TRANSFER_PARAMS,
             axis1=SweepAxis("temperatures.t_r", "t_r", -0.5, 0.5, 3),
         )
-        with pytest.raises(ValueError, match="temperatures"):
+        with pytest.raises(ConfigError, match=r"^grid point t_r = -0\.5: bath temperatures must be positive$"):
             run_sweep(spec)
 
 
