@@ -105,8 +105,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     plot = args.plot or spec.plot_path
     if out is None:
         raise ConfigError("no output path: pass --out or set 'out' in [sweep]")
-    for kind, path in (("CSV", out), ("SVG", plot)):  # a missing directory fails before the grid is solved
-        if path is not None and not Path(path).parent.is_dir():
+    for kind, path in (("CSV", out), ("SVG", plot)):  # a path that cannot be a file fails before the grid is solved
+        if path is None:
+            continue
+        if Path(path).is_dir():
+            raise OSError(f"cannot write {kind} to {path}: {path} is a directory")
+        if not Path(path).parent.is_dir():
             raise OSError(f"cannot write {kind} to {path}: {Path(path).parent} is not a directory")
     rows = run_sweep(spec, threads=args.threads)
     emit_csv(rows, spec, out)
@@ -186,8 +190,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     # the engine's kept blocks; each dropped mirror block has the conjugates of its kept block's eigenvalues.
     # The solve certified the second singular value, so exactly one eigenvalue is zero: the least in modulus.
     # The slowest mode decays by e^-18 over the horizon, and |h*lambda| <= 1.5 is inside RK4's stability region.
-    blocks = block_engine().assemble(np.array([generator_coefficients(params)]))
-    ev = np.concatenate([np.linalg.eigvals(b[0]) for b in blocks])
+    # The null block is in the Hermitian basis, a similarity transform that keeps its eigenvalues.
+    engine = block_engine()
+    null, coherence = engine.assemble(np.array([generator_coefficients(params)]))
+    ev = np.concatenate([np.linalg.eigvals(b[0]) for b in [null, *engine.coherence_blocks(coherence)]])
     gap = -np.max(np.delete(ev.real, np.argmin(np.abs(ev))))
     t_final = float(18.0 / gap)
     dt = float(1.5 / np.max(np.abs(ev)))

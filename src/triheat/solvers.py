@@ -11,8 +11,9 @@ that the initial state can reach through L, powers it from one state check
 to the next, and carries every output interval's checked states to the
 next interval with one matrix product.
 ``evolve`` and the block engine below judge a state by one check on its
-support, ``StateSupport.broken_bounds``, which decides positivity from LDL^H
-pivots with elementwise operations; ``eigvalsh`` only words a failure. The
+support, ``StateSupport.broken_bounds``, which decides positivity without
+eigenvalues: Gershgorin's discs clear most states, and LDL^H pivots, with
+elementwise operations, decide the rest; ``eigvalsh`` only words a failure. The
 test suite cross-checks the two algorithms against each other, checks
 ``evolve`` against explicit RK4 steps and against a loop of one-interval
 ``evolve`` calls, and checks the matrix itself against ``rhs_apply``.
@@ -30,14 +31,18 @@ every population and so the steady state; the other 18 are nine pairs of
 transpose mirrors (rho[a, b] and rho[b, a]) with equal singular values, of
 which one each is kept. Each block lies inside one coherence order
 N(a) - N(b), the excitation-number symmetry the chain's H and jumps
-respect. So a chunk of points is assembled with one matrix product, its
-null vectors come from one batched inverse of the trace-pinned 26-row
-block, and every check ``steady_state`` makes is kept per point with the
-same bound. Uniqueness is certified rather than measured: the gap is a
-lower bound on the generator's second singular value, the least of each
-block's floor. The null block's floor is read off the inverse the solve
-forms (``pinned_floors``), and a coherence block's is Johnson's bound on
-its smallest singular value, read off its entries. A block's SVD runs
+respect. The null block is held in the orthonormal Hermitian basis
+{E_aa, (E_ab + E_ba)/sqrt 2, i (E_ab - E_ba)/sqrt 2}, where it is a real
+matrix: the change of basis is unitary, so it keeps every singular value, and
+the identity on populations, so it keeps the trace row. So a chunk of points
+is assembled with two real matrix products, its null vectors come from one
+batched real inverse of the trace-pinned 26-row block, and every check
+``steady_state`` makes is kept per point with the same bound. Uniqueness
+is certified rather than measured: the gap is a lower bound on the
+generator's second singular value, the least of each block's floor. The
+null block's floor is read off the inverse the solve forms
+(``pinned_floors``), and a coherence block's is Johnson's bound on its
+smallest singular value, read off its entries. A block's SVD runs
 only at the points where its floor does not clear ``DEGENERACY_TOL``, so a
 point is non-unique exactly when a computed singular value is below the
 bound, as in ``steady_state``. On the shipped figure grids that is no
@@ -84,14 +89,17 @@ RESIDUAL_TOL = 1e-10  # ||L vec(rho)|| of the trace-normalized steady state
 TRACE_DRIFT_TOL = 1e-9
 NULL_TRACE_FLOOR = 1e-8  # |trace| of the unit-norm null vector below this: no state
 BALANCE_TOL = 1e-10  # see balanced
-# Points per batched solve. A warm pass over the three figure sweeps (one
-# BLAS thread, medians of 24 interleaved passes) took 0.37, 0.32, 0.29, 0.28
-# and 0.31 s at 8, 16, 32, 64 and 128 points. At one BLAS thread the assembly
-# product gives all 1160 figure points the same bits at batch sizes 2, 3, 8, 32,
-# 64 and 128 as at 16, but not at 1 (numpy's matrix-vector path). So only a lone
-# point, `triheat steady`'s or the last of a grid of 16k + 1 points, can differ
-# in its last bits from the same point solved in a chunk.
-CHUNK = 16
+# Points per batched solve. At one BLAS thread, `steady_states` on the 1160
+# figure points took 55-60, 60-62 and 66-104 ms at 32, 64 and 16 points (best of 5,
+# three rounds each). There the assembled null blocks of all 1160 points have
+# the same bits at batch sizes 2, 3, 8, 16, 64, 128 and 1160 as at 32, but not
+# at 1 (numpy's matrix-vector path): 20 rows match. The coherence entries match
+# at 2 to 16 and differ at 64 and more, but they only bound singular values, and
+# every point's state, residual and currents are bit-identical at CHUNK = 8, 16,
+# 64 and 128. So only a lone point, `triheat steady`'s or the last of a grid of
+# 32k + 1 points, can differ in its last bits from the same point in a chunk.
+CHUNK = 32
+_HALF_ROOT = math.sqrt(0.5)  # the Hermitian basis's coherence weight, 1 / sqrt 2
 
 
 def balanced(currents: np.ndarray) -> np.ndarray:
@@ -298,7 +306,9 @@ class BlockEngine:
     so has the same singular values; one component of each mirror pair is
     kept, and every self-mirrored one. Block 0 is the null block, the one component that
     holds every population (26 rows for the chain); the others have 19,
-    10, 10, 7, 5, 5, 1, 1 and 1 rows.
+    10, 10, 7, 5, 5, 1, 1 and 1 rows. The null block's terms are held as
+    real matrices in the Hermitian basis ``basis``, the coherence blocks'
+    as their complex entries side by side.
     """
 
     def __init__(self) -> None:
@@ -315,12 +325,27 @@ class BlockEngine:
         self.index = holding + [c for c in kept if c is not holding[0]]
         self.sizes = [len(idx) for idx in self.index]
         self.bounds = np.cumsum([0] + [m * m for m in self.sizes])
-        # every block's entries in one gather; an entry off the table reads the appended zero column.
-        # np.take returns them C-contiguous: assemble's product rounds a strided operand differently.
+        # every block's entries in one gather; an entry off the table reads the appended zero column
         column = np.full(DIM**4, len(positions))
         column[positions] = np.arange(len(positions))
         flat = np.concatenate([np.add.outer(idx * DIM * DIM, idx).ravel() for idx in self.index])
-        self.terms = np.take(np.concatenate([values, np.zeros((len(values), 1))], axis=1), column[flat], axis=1)
+        terms = np.take(np.concatenate([values, np.zeros((len(values), 1))], axis=1), column[flat], axis=1)
+
+        # The null block in the orthonormal Hermitian basis {E_aa, (E_ab + E_ba) / sqrt 2, i (E_ab - E_ba) / sqrt 2}.
+        # Each term maps Hermitian matrices to Hermitian ones, so U^H T_c U is real. Entry rho[a, b] and its
+        # partner rho[b, a] hold the pair's two coordinates, the symmetric one at the lower position, and a
+        # population keeps its position, so the trace row and the pinned row read the same indices in both.
+        m = self.sizes[0]
+        self.layout = StateSupport(self.index[0], DIM)  # the null block is its own mirror
+        self.sym = np.flatnonzero(np.arange(m) < self.layout.partner)
+        self.anti = self.layout.partner[self.sym]
+        self.basis = np.eye(m, dtype=complex)  # U, whose column k is basis element k on the null block's entries
+        self.basis[self.sym, self.sym] = self.basis[self.anti, self.sym] = _HALF_ROOT
+        self.basis[self.sym, self.anti], self.basis[self.anti, self.anti] = 1j * _HALF_ROOT, -1j * _HALF_ROOT
+        null = self.basis.conj().T @ terms[:, : m * m].reshape(-1, m, m) @ self.basis
+        # both tables C-contiguous: assemble's products round a strided operand differently
+        self.null_terms = np.ascontiguousarray(null.real.reshape(-1, m * m))
+        self.coherence_terms = np.ascontiguousarray(terms[:, m * m:])
         # the kept coherence blocks' entries side by side, each block row by row, for singular_floors
         entries = [np.arange(lo, hi).reshape(m, m) - self.bounds[1]
                    for lo, hi, m in zip(self.bounds[1:-1], self.bounds[2:], self.sizes[1:])]
@@ -329,8 +354,6 @@ class BlockEngine:
         self.transposed_entries = np.concatenate([e.T.ravel() for e in entries])  # each block's columns as rows
         self.block_rows = np.cumsum([0] + self.sizes[1:-1])
 
-        # the null block is its own mirror, so every partner lies in the block
-        self.layout = StateSupport(self.index[0], DIM)
         # functionals[c, d] . vec(rho) = -Tr(H_c S_d[rho]) for Hamiltonian term c and dissipator term d:
         # Tr(H X) = vec(H^T) . vec(X), summed from the table's entries column by column. Every nonzero
         # column lies in the null block. One Hamiltonian term at a time keeps the temporaries small.
@@ -359,20 +382,30 @@ class BlockEngine:
         imag = np.abs(currents.imag).max(axis=1)
         return currents.real, [None if r <= IMAG_TOL else IMAG_RESIDUE.format(r, IMAG_TOL) for r in imag]
 
-    def assemble(self, coef: np.ndarray) -> list[np.ndarray]:
-        """The (n, m, m) stacks of the kept blocks, null block first, for an (n, 14) coefficient array."""
-        # an infinite coefficient times a zero entry is NaN; solve_blocks fails that point alone
-        with np.errstate(invalid="ignore", over="ignore"):
-            flat = coef.astype(complex) @ self.terms
-        return [
-            flat[:, lo:hi].reshape(-1, m, m)
-            for lo, hi, m in zip(self.bounds[:-1], self.bounds[1:], self.sizes)
-        ]
+    def assemble(self, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The real (n, m, m) null blocks and the (n, k) coherence entries of an (n, 14) coefficient array.
 
-    def singular_floors(self, blocks: list[np.ndarray]) -> np.ndarray:
+        The null blocks are in the Hermitian basis ``basis``; the coherence
+        entries are the kept coherence blocks side by side, each row by row,
+        and ``coherence_blocks`` reads them as matrices.
+        """
+        # an infinite coefficient times a zero entry is NaN; solve_blocks fails that point alone.
+        # A real coefficient times a complex table is one real product on the table's float view.
+        with np.errstate(invalid="ignore", over="ignore"):
+            null = coef @ self.null_terms
+            coherence = (coef @ self.coherence_terms.view(float)).view(complex)
+        return null.reshape(len(coef), self.sizes[0], self.sizes[0]), coherence
+
+    def coherence_blocks(self, coherence: np.ndarray) -> list[np.ndarray]:
+        """The (n, m, m) stacks of the kept coherence blocks, from ``assemble``'s (n, k) coherence entries."""
+        offsets = self.bounds[1:] - self.bounds[1]
+        return [coherence[:, lo:hi].reshape(-1, m, m) for lo, hi, m in zip(offsets, offsets[1:], self.sizes[1:])]
+
+    def singular_floors(self, coherence: np.ndarray) -> np.ndarray:
         """Per point, a lower bound on each coherence block's smallest singular value, exact or computed.
 
-        One row per point and one column per kept block after the null block.
+        One row per point of ``assemble``'s coherence entries and one column
+        per kept block after the null block.
         Johnson's bound (Linear Algebra Appl. 112, 1 (1989)): sigma_min(B) >=
         min_i (|b_ii| - (r_i + c_i) / 2), where r_i and c_i are the absolute
         sums of row i and column i off the diagonal. It is lowered by 8 m eps
@@ -383,9 +416,8 @@ class BlockEngine:
         rules a block out. Every block of every point is bounded at once,
         from the blocks' entries side by side.
         """
-        n = len(blocks[0])
         with np.errstate(over="ignore", invalid="ignore"):
-            a = np.abs(np.concatenate([b.reshape(n, b.shape[-1] ** 2) for b in blocks[1:]], axis=1))
+            a = np.abs(coherence)
             diagonal = a[:, self.diagonal_entries]
             a[:, self.diagonal_entries] = 0.0
             off = (np.add.reduceat(a, self.row_starts, axis=1)
@@ -394,12 +426,22 @@ class BlockEngine:
             size = np.maximum.reduceat(diagonal + off, self.block_rows, axis=1)
             return floor - 8 * np.finfo(float).eps * np.array(self.sizes[1:]) * size
 
-    def solve_blocks(self, blocks: list[np.ndarray], coef: np.ndarray) -> list[PointSolve]:
-        """Steady states from assembled blocks; a point that fails any check fails alone.
+    def hermitian(self, y: np.ndarray) -> np.ndarray:
+        """The null-block support vectors U y of real coordinates y in the Hermitian basis, exactly Hermitian."""
+        x = y.astype(complex)
+        x[:, self.sym] = _HALF_ROOT * (y[:, self.sym] + 1j * y[:, self.anti])
+        x[:, self.anti] = x[:, self.sym].conj()
+        return x
+
+    def solve_blocks(self, null: np.ndarray, coherence: np.ndarray, coef: np.ndarray) -> list[PointSolve]:
+        """Steady states from ``assemble``'s blocks; a point that fails any check fails alone.
 
         The checks and bounds are ``steady_state``'s, in its order, the state's
         by ``StateSupport.broken_bounds``. Each runs only on the points that
         passed the ones before it, so a bad point cannot spoil its neighbours.
+        The null vector is solved for in the real Hermitian basis, whose
+        change of basis U is unitary: every singular value, norm and floor is
+        the one of the block on vec(rho)'s entries.
         """
         n = len(coef)
         errors: list[SteadyStateError | None] = [None] * n
@@ -408,22 +450,23 @@ class BlockEngine:
 
         def drop(bad: np.ndarray, reason: str, message) -> None:
             nonlocal alive
+            if not bad.any():
+                return
             for k in np.flatnonzero(bad):
                 errors[alive[k]] = SteadyStateError(message(k), reason)
             alive = alive[~bad]
 
-        finite = np.ones(n, dtype=bool)
-        for b in blocks:
-            finite &= np.isfinite(b).all(axis=(1, 2))
+        finite = np.isfinite(null).all(axis=(1, 2)) & np.isfinite(coherence).all(axis=1)
         drop(~finite, "non_finite", lambda k: NON_FINITE_GENERATOR)
 
-        # Null vector: replace one diagonal row by the trace condition. The
-        # diagonal rows sum to zero (L preserves the trace), so the row
+        # Null vector: replace one population's row by the trace condition. The
+        # population rows sum to zero (L preserves the trace), so the row
         # dropped is implied by the rest, and column `pinned` of the inverse
-        # is the null vector of unit trace.
+        # is the null vector of unit trace. U is the identity on populations,
+        # so this system is U^H S U for the trace-pinned system S on vec(rho).
         diagonal = self.layout.diagonal
         pinned = diagonal[0]
-        system = blocks[0][alive].copy()
+        system = null[alive]
         system[:, pinned, :] = 0.0
         system[:, pinned, diagonal] = 1.0
         inverse, singular = _batched_inverse(system)
@@ -433,33 +476,34 @@ class BlockEngine:
         # only at the points where its floor does not clear DEGENERACY_TOL, so
         # every block that could break uniqueness is, and the verdict is that
         # of the computed singular values, as in steady_state.
-        floors = np.column_stack([pinned_floors(system, inverse), self.singular_floors(blocks)[alive]])
+        floors = np.column_stack([pinned_floors(system, inverse), self.singular_floors(coherence)[alive]])
         least = np.full(len(alive), np.inf)  # the least singular value measured
-        for j, b in enumerate(blocks):
+        for j in range(len(self.sizes)):
             measure = np.flatnonzero(~(floors[:, j] >= DEGENERACY_TOL))
             if measure.size:
-                s, floors[measure, j] = _measured(b[alive[measure]], -2 if j == 0 else -1)
+                points = alive[measure]
+                block = null[points] if j == 0 else self.coherence_blocks(coherence[points])[j - 1]
+                s, floors[measure, j] = _measured(block, -2 if j == 0 else -1)
                 least[measure] = np.minimum(least[measure], s)
         gaps[alive] = floors.min(axis=1)
         unique = ~(least < DEGENERACY_TOL)
         drop(~unique, "non_unique", lambda k: _NON_UNIQUE.format(least[k]))
         singular, inverse = singular[unique], inverse[unique]
         drop(singular, "singular", lambda k: "no steady state: the trace-pinned null-space system is singular")
-        x = inverse[~singular, :, pinned]
+        y = inverse[~singular, :, pinned]  # the real coordinates of the null vector
 
-        x = 0.5 * (x + x[:, self.layout.partner].conj())
-        tr = x[:, diagonal].sum(axis=1).real
-        unit_trace = np.abs(tr) / np.linalg.norm(x, axis=1)
+        tr = y[:, diagonal].sum(axis=1)
+        unit_trace = np.abs(tr) / np.linalg.norm(y, axis=1)
         keep = unit_trace >= NULL_TRACE_FLOOR
         drop(~keep, "zero_trace", lambda k: _ZERO_TRACE)
-        x = x[keep] / tr[keep, None]
+        y = y[keep] / tr[keep, None]
 
         with np.errstate(over="ignore", invalid="ignore"):  # finite entries can still overflow the product
-            residual = np.linalg.norm(np.einsum("nij,nj->ni", blocks[0][alive], x), axis=1)
+            residual = np.linalg.norm(np.einsum("nij,nj->ni", null[alive], y), axis=1)
         keep = residual <= RESIDUAL_TOL
         drop(~keep, "residual",
              lambda k: _RESIDUAL.format(residual[k], RESIDUAL_TOL) if np.isfinite(residual[k]) else _RESIDUAL_OVERFLOW)
-        x = x[keep]
+        x = self.hermitian(y[keep])
         residual = residual[keep]
 
         broken = self.layout.broken_bounds(x, HERM_TOL, TRACE_TOL, EIG_FLOOR)
@@ -476,10 +520,15 @@ class BlockEngine:
         keep = balanced(currents)
         drop(~keep, "unbalanced", lambda k: _UNBALANCED.format(abs(currents[k].sum())))
 
-        out = [PointSolve(gap=float(gaps[k]), error=errors[k]) for k in range(n)]
-        for i, k in zip(np.flatnonzero(keep), alive):
-            out[k] = PointSolve(x[i], float(residual[i]), HeatCurrents(*map(float, currents[i])), float(gaps[k]))
-        return out
+        survivors = iter(np.flatnonzero(keep))  # the points still alive, in order: those with no error
+
+        def point(k: int) -> PointSolve:
+            if errors[k] is not None:
+                return PointSolve(gap=float(gaps[k]), error=errors[k])
+            i = next(survivors)
+            return PointSolve(x[i], float(residual[i]), HeatCurrents(*map(float, currents[i])), float(gaps[k]))
+
+        return [point(k) for k in range(n)]
 
 
 def pinned_floors(system: np.ndarray, inverse: np.ndarray) -> np.ndarray:
@@ -548,7 +597,7 @@ def steady_states(points: Sequence[SystemParams], threads: int = 1) -> list[Poin
 
     def solve(start: int) -> list[PointSolve]:
         coef = np.array([generator_coefficients(p) for p in points[start: start + CHUNK]])
-        return engine.solve_blocks(engine.assemble(coef), coef)
+        return engine.solve_blocks(*engine.assemble(coef), coef)
 
     starts = range(0, len(points), CHUNK)
     if threads == 1:
@@ -586,6 +635,13 @@ class StateSupport:
         self.squares = np.full((largest, largest, len(self.components)), len(index))
         for b, levels in enumerate(self.components):
             self.squares[: len(levels), : len(levels), b] = where[np.ix_(levels, levels)]
+        # x.real @ centres holds each level's diagonal entry, and |x| @ radii its disc's radius: an entry
+        # rho[a, b] of the lower triangle (a > b) counts in row a and, as its conjugate, in row b
+        self.centres = np.zeros((len(index), dim))
+        self.centres[self.diagonal, row[self.diagonal]] = 1.0
+        lower = np.flatnonzero(row > col)
+        self.radii = np.zeros((len(index), dim))
+        self.radii[lower, row[lower]] = self.radii[lower, col[lower]] = 1.0
 
     def matrices(self, x: np.ndarray) -> np.ndarray:
         """The dim x dim states that support vectors stand for; a stack (n, len(index)) gives a stack."""
@@ -607,6 +663,32 @@ class StateSupport:
 
     def bounded_below(self, x: np.ndarray, floor: float) -> np.ndarray:
         """Whether each state of a stack of support vectors has no eigenvalue below ``floor``, decided without eigenvalues.
+
+        Gershgorin's discs clear most states first: lambda_min >= min_i
+        (a_ii - R_i), where R_i is the absolute sum of row i off the
+        diagonal, taken over the Hermitian completion of the lower triangle
+        that the pivots and ``eigvalsh`` read. A state is cleared when that
+        bound, less 8 k eps times its largest |a_ii| + R_i (k the largest
+        block's size), is at least ``floor``: the allowance covers the
+        rounding of the sums, about k eps of it, and the error of a computed
+        eigenvalue, a modest multiple of eps ||A||_2, which the same largest
+        sum bounds. Only the states the discs cannot clear are factored, by
+        ``pivots_bounded_below``. A state with a non-finite entry is not
+        bounded below.
+        """
+        # a non-finite entry makes a disc or the allowance inf or NaN, which clears nothing
+        with np.errstate(over="ignore", invalid="ignore"):
+            centre = x.real @ self.centres
+            radius = np.abs(x) @ self.radii
+            allowance = 8 * len(self.squares) * np.finfo(float).eps * (np.abs(centre) + radius).max(axis=1)
+            ok = (centre - radius).min(axis=1) - allowance >= floor
+        rest = np.flatnonzero(~ok)
+        if rest.size:
+            ok[rest] = self.pivots_bounded_below(x[rest], floor)
+        return ok & np.isfinite(x).all(axis=1)
+
+    def pivots_bounded_below(self, x: np.ndarray, floor: float) -> np.ndarray:
+        """``bounded_below``'s decision from the LDL^H pivots alone, with no disc clearing any state.
 
         A Hermitian block has lambda_min >= floor exactly when the block
         minus floor * I is positive semidefinite, which its LDL^H pivots

@@ -168,6 +168,23 @@ class TestSweep:
         assert captured.out == ""
         assert not out.exists() and not plot.exists()
 
+    @pytest.mark.parametrize("config, output", [("coupling_gate_map", "CSV"), ("transfer_curve", "SVG")])
+    def test_output_that_is_a_directory_fails_before_any_solve(self, tmp_path, capsys, monkeypatch, config, output):
+        monkeypatch.setattr(solvers, "block_engine", lambda: pytest.fail("solved before the outputs were checked"))
+        out, plot = tmp_path / "rows.csv", tmp_path / "rows.svg"
+        directory = tmp_path / "existing"
+        directory.mkdir()
+        if output == "CSV":
+            out = directory
+        else:
+            plot = directory
+        code = cli_main(["sweep", "--config", str(SCRIPTS / f"{config}.cfg"), "--out", str(out), "--plot", str(plot)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {output} to {directory}: {directory} is a directory\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [directory] and list(directory.iterdir()) == []
+
     def test_invalid_grid_point_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "negative.cfg"
         text = (SCRIPTS / "transfer_curve.cfg").read_text(encoding="utf-8")

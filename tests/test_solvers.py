@@ -29,7 +29,7 @@ from triheat import (
     vec,
 )
 from triheat import solvers
-from triheat.cli import DEFAULT_PARAMS
+from triheat.cli import DEFAULT_PARAMS, cli_main
 from triheat.config import load_sweep
 from triheat.solvers import (
     DEGENERACY_TOL,
@@ -544,6 +544,94 @@ class TestStateSupport:
         assert ours[:-3].sum() == len(states[:-3]) // 2
         assert ours[-3:].tolist() == [True, False, False]
 
+    @pytest.mark.parametrize("scale", [1, 10], ids=["1x-floor", "10x-floor"])
+    @pytest.mark.parametrize("layout", ["null-block", "mixed-support"])
+    def test_disc_certificate_agrees_with_the_pivots(self, layout, scale):
+        # the engine's layout and evolve's support, at the steady state's floor and at 10x it
+        rng = np.random.default_rng(43)
+        floor = scale * EIG_FLOOR
+        if layout == "null-block":
+            support = block_engine().layout
+        else:
+            support = StateSupport(invariant_support(transfer_liouvillian().matrix, vec(np.eye(12))), 12)
+        components = [list(c) for c in support.components]
+        states = []
+        for _ in range(60):  # from diagonally dominant to strongly coherent
+            state = block_diagonal_states(rng, components, 1)[0]
+            weight = rng.uniform(0.0, 1.0) ** 3
+            states.append(weight * state + (1 - weight) * np.diag(np.diag(state)))
+        for k in range(40):  # one eigenvalue 1e-4 of the floor on either side of it
+            state = states[k].copy()
+            levels = max(components, key=len) if k % 2 else components[k % len(components)]
+            w, u = np.linalg.eigh(state[np.ix_(levels, levels)])
+            w[0] = floor * (1.0 + (1e-4 if k % 4 < 2 else -1e-4))
+            state[np.ix_(levels, levels)] = (u * w) @ u.conj().T
+            states.append(state)
+        for k in range(12):  # a diagonal state with one population at the floor, up to rounding
+            state = np.diag(np.diag(states[k])).astype(complex)
+            state[k, k] = floor * (1.0 + (k - 6) * 1e-6)
+            states.append(state)
+        x = vec_stack(np.array(states))[:, support.index]
+        # deliberately not Hermitian: one triangle of a block kept and the other emptied. With the lower
+        # triangle kept, a disc over the matrix's own rows would clear indefinite states; only the lower is read
+        levels = max(components, key=len)
+        mask = np.zeros((12, 12), dtype=bool)
+        mask[np.ix_(levels, levels)] = True
+        upper, lower = vec(np.triu(mask, 1))[support.index], vec(np.tril(mask, -1))[support.index]
+        bent = []
+        for k in range(20):
+            entries = x[k].copy()
+            entries[support.diagonal] *= rng.uniform(0.2, 5.0, len(support.diagonal))
+            entries[upper if k % 2 else lower] = 0.0
+            bent.append(entries)
+        a, b = levels[:2]  # rho[b, a] is in the lower triangle
+        for c in (0.05, 0.2, 0.4):  # indefinite for c > 0.1; row a's disc is wide only through rho[b, a]
+            state = np.diag(np.diag(states[0])).astype(complex)
+            state[a, a], state[b, b], state[b, a] = 0.01, 1.0, c
+            bent.append(vec(state)[support.index])
+        x = np.vstack([x, bent])
+
+        # Hermitian completion of the lower triangle, as the pivots and eigvalsh read it
+        full = support.matrices(x)
+        hermitian = np.tril(full, -1) + np.swapaxes(np.tril(full, -1), -1, -2).conj()
+        hermitian[:, range(12), range(12)] = np.diagonal(full, axis1=1, axis2=2).real
+        lowest = np.linalg.eigvalsh(hermitian).min(axis=1)
+        centre = np.diagonal(hermitian, axis1=1, axis2=2).real
+        radius = np.abs(hermitian).sum(axis=2) - np.abs(centre)
+        allowance = 8 * len(support.squares) * np.finfo(float).eps * (np.abs(centre) + radius).max(axis=1)
+
+        ours = support.bounded_below(x, floor)
+        alone = support.pivots_bounded_below(x, floor)
+        factored = []
+        pivots = StateSupport.pivots_bounded_below
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(StateSupport, "pivots_bounded_below",
+                      lambda self, x, floor: factored.append(len(x)) or pivots(self, x, floor))
+            assert np.array_equal(support.bounded_below(x, floor), ours)
+        assert 0 < sum(factored) < len(x)  # the discs clear some states and leave others to the pivots
+        clear = np.abs(lowest - floor) > allowance
+        assert np.array_equal(ours[clear], alone[clear])
+        assert np.array_equal(ours[clear], lowest[clear] >= floor)
+        assert not ours[lowest < floor - allowance].any()
+        assert 0 < ours.sum() < len(x)
+
+    def test_evolve_at_the_shipped_configs_factors_no_state(self, tmp_path, monkeypatch):
+        # every checked state of `triheat evolve --t-final 200` is cleared by its discs
+        factored = []
+        pivots = StateSupport.pivots_bounded_below
+        monkeypatch.setattr(StateSupport, "pivots_bounded_below",
+                            lambda self, x, floor: factored.append(len(x)) or pivots(self, x, floor))
+        checked = []
+        broken_bounds = StateSupport.broken_bounds
+        monkeypatch.setattr(StateSupport, "broken_bounds",
+                            lambda self, x, *bounds: checked.append(len(x)) or broken_bounds(self, x, *bounds))
+        for name in ("transfer_curve", "output_curves", "coupling_gate_map"):
+            out = tmp_path / f"{name}.csv"
+            assert cli_main(["evolve", "--config", str(SCRIPTS / f"{name}.cfg"), "--out", str(out),
+                             "--t-final", "200"]) == 0
+        assert sum(checked) == 3 * 100 * 200
+        assert factored == []
+
 
 def vec_stack(states):
     """Column-stacked vectors of a stack of matrices."""
@@ -587,7 +675,7 @@ def pinned_systems(points, scale=None):
     engine = block_engine()
     blocks = engine.assemble(np.array([generator_coefficients(p) for p in points]))
     if scale is not None:
-        blocks[0] *= scale[:, None, None]
+        blocks[0][...] *= scale[:, None, None]
     system = blocks[0].copy()
     system[:, engine.layout.diagonal[0], :] = 0.0
     system[:, engine.layout.diagonal[0], engine.layout.diagonal] = 1.0
@@ -653,9 +741,10 @@ class TestBlockEngine:
         ]
         points = seeded_points(seed=14, count=48, t_min=5e-4) + slow
         engine = block_engine()
-        blocks = engine.assemble(np.array([generator_coefficients(p) for p in points]))
-        smallest = np.stack([np.linalg.svd(b, compute_uv=False)[:, -1] for b in blocks[1:]], axis=1)
-        assert np.all(engine.singular_floors(blocks) <= smallest)
+        _, coherence = engine.assemble(np.array([generator_coefficients(p) for p in points]))
+        smallest = np.stack([np.linalg.svd(b, compute_uv=False)[:, -1] for b in engine.coherence_blocks(coherence)],
+                            axis=1)
+        assert np.all(engine.singular_floors(coherence) <= smallest)
 
         measured = []  # the points each coherence-block SVD of the engine is given
         svd = np.linalg.svd
@@ -715,7 +804,7 @@ class TestBlockEngine:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        solved = engine.solve_blocks(blocks, coef)
+        solved = engine.solve_blocks(*blocks, coef)
         monkeypatch.undo()
         assert len(measured) == 1 and np.array_equal(measured[0], blocks[0][2:3])
         reference = steady_states(points)
@@ -730,11 +819,30 @@ class TestBlockEngine:
         points = [p for name in ("transfer_curve", "output_curves", "coupling_gate_map")
                   for p in grid_points(load_sweep(SCRIPTS / f"{name}.cfg"))]
         assert len(points) == 1160
-        calls = []
+        calls, inverses = [], []
         monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: calls.append(a.shape))
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(a.dtype) or inv(a))
         solved = steady_states(points)
         assert calls == []
+        assert inverses and set(inverses) == {np.dtype(float)}  # the null blocks are real
         assert all(s.error is None for s in solved)
+
+    def test_coupling_map_factors_some_states(self, monkeypatch):
+        # the transfer and output curves' states are all cleared by their discs; the
+        # coupling map's strongly coupled points are not, so the LDL^H path runs there
+        factored = []
+        pivots = StateSupport.pivots_bounded_below
+        monkeypatch.setattr(StateSupport, "pivots_bounded_below",
+                            lambda self, x, floor: factored.append(len(x)) or pivots(self, x, floor))
+        counts = {}
+        for name in ("transfer_curve", "output_curves", "coupling_gate_map"):
+            factored.clear()
+            points = grid_points(load_sweep(SCRIPTS / f"{name}.cfg"))
+            assert all(s.error is None for s in steady_states(points))
+            counts[name] = sum(factored)
+        assert counts["transfer_curve"] == counts["output_curves"] == 0
+        assert 0 < counts["coupling_gate_map"] < 900
 
     def test_shipped_grids_make_no_eigvalsh_call(self, monkeypatch):
         # every state passes StateSupport.broken_bounds, so no point's full matrix is measured
@@ -777,12 +885,13 @@ class TestBlockEngine:
 
     def test_overflowing_floor_rules_nothing_out(self):
         engine = block_engine()
-        blocks = engine.assemble(np.array([generator_coefficients(p) for p in seeded_points(count=2)]))
-        blocks[1][1, 0, 0] = 1.7e308 * (1 + 1j)  # its magnitude overflows
-        blocks[2][1, 0, 1] = blocks[2][1, 0, 2] = 1.7e308  # so does the row's sum
+        _, coherence = engine.assemble(np.array([generator_coefficients(p) for p in seeded_points(count=2)]))
+        first, second = engine.coherence_blocks(coherence)[:2]  # views of the entries
+        first[1, 0, 0] = 1.7e308 * (1 + 1j)  # its magnitude overflows
+        second[1, 0, 1] = second[1, 0, 2] = 1.7e308  # so does the row's sum
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            floors = engine.singular_floors(blocks)
+            floors = engine.singular_floors(coherence)
         assert not np.isfinite(floors[1, :2]).any() and not (floors[1, :2] > -np.inf).any()
         assert np.isfinite(floors[0]).all() and np.isfinite(floors[1, 2:]).all()
 
@@ -804,13 +913,26 @@ class TestBlockEngine:
         # the null block is the maximally mixed state's invariant support
         mixed = invariant_support(transfer_liouvillian().matrix, vec(np.eye(12)))
         assert len(mixed) == 26 and np.array_equal(engine.index[0], mixed)
+        # the Hermitian basis is orthonormal, and holds each population at its own position
+        basis = engine.basis
+        assert np.max(np.abs(basis.conj().T @ basis - np.eye(engine.sizes[0]))) <= 1e-15
+        assert np.array_equal(basis[:, engine.layout.diagonal], np.eye(engine.sizes[0])[:, engine.layout.diagonal])
         for p in seeded_points(count=8):
             full = build_superoperator(total_hamiltonian(p), bath_channels(p)).matrix
             # no coupling between components, exactly
             assert np.all(full[label[:, None] != label[None, :]] == 0)
-            blocks = engine.assemble(np.array([generator_coefficients(p)]))
-            assert len(blocks) == len(engine.index)
-            for block, idx, mirror in zip(blocks, engine.index, mirrors):
+            null, coherence = engine.assemble(np.array([generator_coefficients(p)]))
+            assert null.dtype == float and coherence.shape == (1, sum(m * m for m in engine.sizes[1:]))
+            # the null block is U^H B U of the generator's, whose imaginary part is rounding
+            block = full[np.ix_(engine.index[0], engine.index[0])]
+            hermitian = basis.conj().T @ block @ basis
+            assert np.max(np.abs(hermitian.imag)) <= 1e-15 * np.max(np.abs(block))
+            assert np.max(np.abs(null[0] - hermitian.real)) <= 1e-14
+            np.testing.assert_allclose(np.linalg.svd(null[0], compute_uv=False),
+                                       np.linalg.svd(block, compute_uv=False), rtol=1e-12, atol=1e-15)
+            blocks = engine.coherence_blocks(coherence)
+            assert len(blocks) == len(engine.index) - 1
+            for block, idx, mirror in zip(blocks, engine.index[1:], mirrors[1:]):
                 assert np.max(np.abs(block[0] - full[np.ix_(idx, idx)])) <= 1e-14
                 np.testing.assert_allclose(
                     np.linalg.svd(full[np.ix_(mirror, mirror)], compute_uv=False),
@@ -825,10 +947,11 @@ class TestBlockEngine:
         coef = np.array([generator_coefficients(p) for p in points])
         reference = steady_states(points)
         for b in range(len(engine.index)):
-            blocks = engine.assemble(coef)
-            s = np.linalg.svd(blocks[b][2], compute_uv=False)
-            blocks[b][2] *= 0.5 * DEGENERACY_TOL / s[-2 if b == 0 else -1]
-            solved = engine.solve_blocks(blocks, coef)
+            null, coherence = engine.assemble(coef)
+            block = null if b == 0 else engine.coherence_blocks(coherence)[b - 1]  # a view of the entries
+            s = np.linalg.svd(block[2], compute_uv=False)
+            block[2] *= 0.5 * DEGENERACY_TOL / s[-2 if b == 0 else -1]
+            solved = engine.solve_blocks(null, coherence, coef)
             assert solved[2].error is not None and solved[2].error.reason == "non_unique", b
             for k in (0, 1, 3, 4):
                 assert solved[k].error is None, b
@@ -878,10 +1001,10 @@ class TestBlockEngine:
         engine = block_engine()
         points = seeded_points(count=5)
         coef = np.array([generator_coefficients(p) for p in points])
-        blocks = engine.assemble(coef)
-        x = np.zeros(blocks[0].shape[1], dtype=complex)
+        null, coherence = engine.assemble(coef)
+        x = np.zeros(null.shape[1], dtype=complex)
         if inject == "nan":
-            blocks[1][2, 0, 0] = np.nan
+            coherence[2, 0] = np.nan  # entry (0, 0) of the first coherence block
         elif inject == "indefinite":
             # a projector whose null vector has unit trace, a clear gap and a
             # negative population: every check before the state's passes
@@ -893,14 +1016,16 @@ class TestBlockEngine:
             off = np.setdiff1d(np.arange(len(x)), engine.layout.diagonal)[0]
             x[[off, engine.layout.partner[off]]] = 1.0
         else:
-            # a null vector of zero trace (a coherence) with a clear spectral
-            # gap: the trace-pinned system is exactly singular
-            m = blocks[0].shape[1]
-            blocks[0][2] = np.diag([0.0 if k == m - 1 else 1.0 for k in range(m)])
+            # a null vector of zero trace (a coherence's coordinate in the Hermitian
+            # basis) with a clear spectral gap: the trace-pinned system is exactly singular
+            off = np.setdiff1d(np.arange(len(x)), engine.layout.diagonal)[0]
+            null[2] = np.diag([0.0 if k == off else 1.0 for k in range(len(x))])
         if inject in ("indefinite", "traceless"):
-            # I - x x^H / |x|^2: its null vector is x, and its other singular values are 1
-            blocks[0][2] = np.eye(len(x)) - np.outer(x, x.conj()) / np.vdot(x, x).real
-        solved = engine.solve_blocks(blocks, coef)
+            # I - y y^T / |y|^2 in the Hermitian basis, for the real coordinates y = U^H x of the
+            # Hermitian x: its null vector is y, and its other singular values are 1
+            y = (engine.basis.conj().T @ x).real
+            null[2] = np.eye(len(y)) - np.outer(y, y) / (y @ y)
+        solved = engine.solve_blocks(null, coherence, coef)
         reference = steady_states(points)
         assert solved[2].error is not None and solved[2].error.reason == reason
         if inject == "indefinite":
@@ -920,13 +1045,13 @@ class TestBlockEngine:
         assert [s.error.reason if s.error else "ok" for s in solved] == ["ok", "non_finite", "ok"]
 
     def test_threads_match_one_thread_over_three_chunks(self):
-        # 40 points are chunks of 16, 16 and 8; the point with every rate below
-        # the degeneracy bound fails in the middle chunk
-        points = seeded_points(count=40)
-        points[20] = dataclasses.replace(TRANSFER_PARAMS, kappa_l=1e-12, kappa_m=1e-12, kappa_r=1e-12)
+        # two full chunks and 8 points; the point with every rate below the
+        # degeneracy bound fails in the middle chunk
+        points = seeded_points(count=2 * solvers.CHUNK + 8)
+        points[solvers.CHUNK + 4] = dataclasses.replace(TRANSFER_PARAMS, kappa_l=1e-12, kappa_m=1e-12, kappa_r=1e-12)
         serial, threaded = steady_states(points, threads=1), steady_states(points, threads=3)
         assert [s.error.reason if s.error else "ok" for s in serial].count("non_unique") == 1
-        assert serial[20].error is not None
+        assert serial[solvers.CHUNK + 4].error is not None
         assert repr(threaded) == repr(serial)
         for a, b in zip(serial, threaded):
             assert (a.rho is None and b.rho is None) or a.rho.tobytes() == b.rho.tobytes()
@@ -1043,7 +1168,8 @@ class TestBlockEigenvalues:
              "uncoupled": dataclasses.replace(TRANSFER_PARAMS, g_lm=0.0, g_mr=0.0),
              "coupling_map_x1e-6": SystemParams(*(1e-6 * v for v in dataclasses.astuple(coupling)))}[case]
         matrix = build_superoperator(total_hamiltonian(p), bath_channels(p)).matrix
-        blocks = block_engine().assemble(np.array([generator_coefficients(p)]))
+        null, coherence = block_engine().assemble(np.array([generator_coefficients(p)]))
+        blocks = [null, *block_engine().coherence_blocks(coherence)]  # U^H B U has B's eigenvalues
         ours, full = np.concatenate([np.linalg.eigvals(b[0]) for b in blocks]), np.linalg.eigvals(matrix)
         assert len(ours) == sum(block_engine().sizes) == 85
         # check's rule: the solve certified a unique steady state, so the one
