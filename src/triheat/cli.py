@@ -128,13 +128,10 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     liou = chain_liouvillian(params)
     states = evolve(DensityMatrix.maximally_mixed(liou.dim), liou, args.t_final, args.samples, args.dt_max)
     times = np.linspace(0.0, args.t_final, args.samples + 1)
-    # every sample's currents at once, by the engine's formula; its functionals read only the null block
+    # every sample's currents at once, by the engine's formula, in real arithmetic on the null block's entries
     engine = block_engine()
     x = np.array([vec(state.mat)[engine.layout.index] for state in states])
-    currents, problems = engine.heat_currents(np.array([generator_coefficients(params)]), x)
-    problem = next(filter(None, problems), None)
-    if problem is not None:
-        raise ValueError("heat_current: " + problem)
+    currents = engine.heat_currents(np.array([generator_coefficients(params)]), x)
     write_csv(args.out, ("t", *BATHS), ((t, *cur) for t, cur in zip(times, currents)))
     print(f"wrote {len(times)} samples to {args.out}")
     return 0

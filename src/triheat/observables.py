@@ -18,8 +18,6 @@ from .lindblad import dissipator_apply
 from .model import BATHS, DIM, DIMS, BathChannel
 
 IMAG_TOL = 1e-11
-# A current's imaginary residue above IMAG_TOL, formatted with the residue and the bound.
-IMAG_RESIDUE = "imaginary residue {:.3e} exceeds {:.1e}; inputs are numerically inconsistent"
 
 
 @dataclass(frozen=True)
@@ -41,7 +39,8 @@ def heat_current(h: np.ndarray, channel_group: Sequence[BathChannel], rho: np.nd
         d = d + dissipator_apply(ch, rho)
     val = -np.trace(h @ d)
     if abs(val.imag) > IMAG_TOL:
-        raise ValueError("heat_current: " + IMAG_RESIDUE.format(val.imag, IMAG_TOL))
+        raise ValueError(f"heat_current: imaginary residue {val.imag:.3e} exceeds {IMAG_TOL:.1e}; "
+                         "inputs are numerically inconsistent")
     return float(val.real)
 
 

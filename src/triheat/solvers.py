@@ -50,10 +50,11 @@ point and no block, so a figure pass makes no SVD.
 With more than one thread, a pool maps the same chunks.
 
 Every heat current of the CLI, ``triheat evolve``'s included, comes from
-``BlockEngine.heat_currents``, whose linear functionals of vec(rho), one
-per Hamiltonian and dissipator term, read only the null block. It is the
-one place on the CLI's paths where a current's imaginary residue is held
-to ``IMAG_TOL``; the tests' operator form ``bath_currents`` holds its own.
+``BlockEngine.heat_currents``, whose linear functionals, one per
+Hamiltonian and dissipator term, read only the null block's real
+coordinates. So every such current is computed in real arithmetic, with
+no imaginary residue to bound; the tests' operator form ``bath_currents``
+still bounds its own.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ from .model import (
     jump_operators,
     total_hamiltonian,
 )
-from .observables import IMAG_RESIDUE, IMAG_TOL, HeatCurrents, bath_currents
+from .observables import HeatCurrents, bath_currents
 
 HERM_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -111,7 +112,7 @@ class SteadyStateError(RuntimeError):
     """Steady-state solve failed; ``reason`` names the check that failed.
 
     Reasons: non_unique, zero_trace, residual, invalid_state, unbalanced,
-    and from the batched engine also non_finite, singular, imaginary_current.
+    and from the batched engine also non_finite and singular.
     """
 
     def __init__(self, message: str, reason: str) -> None:
@@ -354,33 +355,26 @@ class BlockEngine:
         self.transposed_entries = np.concatenate([e.T.ravel() for e in entries])  # each block's columns as rows
         self.block_rows = np.cumsum([0] + self.sizes[1:-1])
 
-        # functionals[c, d] . vec(rho) = -Tr(H_c S_d[rho]) for Hamiltonian term c and dissipator term d:
-        # Tr(H X) = vec(H^T) . vec(X), summed from the table's entries column by column. Every nonzero
-        # column lies in the null block. One Hamiltonian term at a time keeps the temporaries small.
-        row, col = np.divmod(positions, DIM * DIM)
-        dissipators = values[len(HAMILTONIAN_FIELDS):]
-        functionals = []
-        for h in hamiltonian_terms():
-            rows = np.zeros((len(dissipators), DIM * DIM), dtype=complex)
-            np.add.at(rows, (..., col), -vec(h.T)[row] * dissipators)
-            functionals.append(rows[:, self.index[0]])
-        self.functionals = np.array(functionals)
+        # functionals[c, d] . y = -Tr(H_c S_d[rho]) for Hamiltonian term c, dissipator term d and the real
+        # coordinates y of rho: Tr(H X) = vec(H^T) . vec(X), every nonzero entry of H_c lies in the null block,
+        # and there S_d = U N_d U^H, so the row is -r_c N_d with r_c = vec(H_c^T) U, real as H_c is Hermitian.
+        r = (np.array([vec(h.T)[self.index[0]] for h in hamiltonian_terms()]) @ self.basis).real
+        self.functionals = -np.einsum("ci,dij->cdj", r, self.null_terms[len(HAMILTONIAN_FIELDS):].reshape(-1, m, m))
 
-    def heat_currents(self, coef: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
-        """The currents J_L, J_M, J_R of states given as null-block support vectors, and each one's residue problem.
+    def heat_currents(self, coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The real currents J_L, J_M, J_R of states given as null-block support vectors, one row per state.
 
         ``coef`` holds each state's 14 generator coefficients, one row per
         state or one row for all. J_P = sum_c sum_{d in P} coef_c coef_d *
-        functionals[c, d] . x, exact for any state, since no functional
-        reads an entry outside the null block. Returns the real currents, one
-        row per state, and per state None, or the ``IMAG_RESIDUE`` message
-        when its largest imaginary residue is not within ``IMAG_TOL``.
+        functionals[c, d] . y, with y = Re(U^H x) the state's real coordinates
+        in the Hermitian basis, exact for any state, since no functional
+        reads an entry outside the null block. A non-Hermitian x is read
+        through its Hermitian part, whose coordinates y are.
         """
+        y = (x @ self.basis.conj()).real
         h_coef, d_coef = coef[:, : len(HAMILTONIAN_FIELDS)], coef[:, len(HAMILTONIAN_FIELDS):]
-        terms = np.einsum("cdk,nk->ncd", self.functionals, x) * h_coef[:, :, None] * d_coef[:, None, :]
-        currents = np.stack([terms[:, :, bath].sum(axis=(1, 2)) for bath in _BATH_TERMS], axis=1)
-        imag = np.abs(currents.imag).max(axis=1)
-        return currents.real, [None if r <= IMAG_TOL else IMAG_RESIDUE.format(r, IMAG_TOL) for r in imag]
+        terms = np.einsum("cdk,nk->ncd", self.functionals, y) * h_coef[:, :, None] * d_coef[:, None, :]
+        return np.stack([terms[:, :, bath].sum(axis=(1, 2)) for bath in _BATH_TERMS], axis=1)
 
     def assemble(self, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The real (n, m, m) null blocks and the (n, k) coherence entries of an (n, 14) coefficient array.
@@ -512,11 +506,7 @@ class BlockEngine:
             _state_defects(self.layout.matrices(x[k]))[first[k]]))
         x, residual = x[keep], residual[keep]
 
-        currents, problems = self.heat_currents(coef[alive], x)
-        keep = np.array([p is None for p in problems], dtype=bool)
-        drop(~keep, "imaginary_current", lambda k: "heat current " + problems[k])
-        currents, x, residual = currents[keep], x[keep], residual[keep]
-
+        currents = self.heat_currents(coef[alive], x)
         keep = balanced(currents)
         drop(~keep, "unbalanced", lambda k: _UNBALANCED.format(abs(currents[k].sum())))
 
