@@ -3,20 +3,20 @@
 ``steady_state`` and ``evolve`` consume the one dense generator matrix,
 which ``chain_liouvillian`` forms from the chain's term table
 ``generator_table`` (``build_superoperator`` does so for any other system),
-and differ only in algorithm: an algebraic
-null-space solve (SVD, smallest singular vector) and a classical fixed-step
-RK4 integration of d vec(rho)/dt = L vec(rho). L is linear, so
-``evolve`` builds the one-step RK4 matrix P on the entries of vec(rho)
-that the initial state can reach through L, powers it from one state check
-to the next, and carries every output interval's checked states to the
-next interval with one matrix product.
+and differ only in algorithm: an algebraic null-space solve (SVD, smallest
+singular vector) and a classical fixed-step RK4 integration of
+d vec(rho)/dt = L vec(rho). L is linear, so ``evolve`` builds one real RK4
+step matrix on the real coordinates (``StateSupport``) of the entries the
+initial state can reach through L, powers it from one state check to the
+next, and carries each interval's checked states on with one product.
 ``evolve`` and the block engine below judge a state by one check on its
-support, ``StateSupport.broken_bounds``, which decides positivity without
-eigenvalues: Gershgorin's discs clear most states, and LDL^H pivots, with
-elementwise operations, decide the rest; ``eigvalsh`` only words a failure. The
-test suite cross-checks the two algorithms against each other, checks
-``evolve`` against explicit RK4 steps and against a loop of one-interval
-``evolve`` calls, and checks the matrix itself against ``rhs_apply``.
+real coordinates, ``StateSupport.broken_bounds``, which decides positivity
+without eigenvalues: Gershgorin's discs clear most states, and LDL^H
+pivots decide the rest; ``eigvalsh`` only words a failure. The states are
+Hermitian by construction: the Hermiticity bound applies once per run to
+``evolve``'s generator, and to every ``DensityMatrix``. The tests check
+``evolve`` against the SVD solve, explicit RK4 steps and a loop of
+one-interval ``evolve`` calls, and the matrix itself against ``rhs_apply``.
 
 ``steady_states`` is the batched engine that every steady state of the
 CLI comes from (``sweep``, ``steady`` and ``check``); the SVD
@@ -157,7 +157,7 @@ def _state_defects(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return herm, tr_err, np.linalg.eigvalsh(m).min(axis=-1)
 
 
-# each density-matrix bound's failure, in the order of _state_defects and StateSupport.broken_bounds
+# each density-matrix bound's failure, in the order of _state_defects; StateSupport.broken_bounds checks the last two
 _STATE_BOUNDS = ("density matrix not Hermitian: defect {:.3e}", "density matrix trace deviates from 1 by {:.3e}",
                  "density matrix has negative eigenvalue {:.3e}")
 
@@ -308,8 +308,8 @@ class BlockEngine:
     kept, and every self-mirrored one. Block 0 is the null block, the one component that
     holds every population (26 rows for the chain); the others have 19,
     10, 10, 7, 5, 5, 1, 1 and 1 rows. The null block's terms are held as
-    real matrices in the Hermitian basis ``basis``, the coherence blocks'
-    as their complex entries side by side.
+    real matrices in the Hermitian basis of its support ``layout``, the
+    coherence blocks' as their complex entries side by side.
     """
 
     def __init__(self) -> None:
@@ -332,18 +332,13 @@ class BlockEngine:
         flat = np.concatenate([np.add.outer(idx * DIM * DIM, idx).ravel() for idx in self.index])
         terms = np.take(np.concatenate([values, np.zeros((len(values), 1))], axis=1), column[flat], axis=1)
 
-        # The null block in the orthonormal Hermitian basis {E_aa, (E_ab + E_ba) / sqrt 2, i (E_ab - E_ba) / sqrt 2}.
-        # Each term maps Hermitian matrices to Hermitian ones, so U^H T_c U is real. Entry rho[a, b] and its
-        # partner rho[b, a] hold the pair's two coordinates, the symmetric one at the lower position, and a
-        # population keeps its position, so the trace row and the pinned row read the same indices in both.
+        # The null block in its support's Hermitian basis U. Each term maps Hermitian matrices to Hermitian
+        # ones, so U^H T_c U is real, and a population keeps its position, so the trace row and the pinned row
+        # read the same indices in both.
         m = self.sizes[0]
         self.layout = StateSupport(self.index[0], DIM)  # the null block is its own mirror
-        self.sym = np.flatnonzero(np.arange(m) < self.layout.partner)
-        self.anti = self.layout.partner[self.sym]
-        self.basis = np.eye(m, dtype=complex)  # U, whose column k is basis element k on the null block's entries
-        self.basis[self.sym, self.sym] = self.basis[self.anti, self.sym] = _HALF_ROOT
-        self.basis[self.sym, self.anti], self.basis[self.anti, self.anti] = 1j * _HALF_ROOT, -1j * _HALF_ROOT
-        null = self.basis.conj().T @ terms[:, : m * m].reshape(-1, m, m) @ self.basis
+        basis = self.layout.basis
+        null = basis.conj().T @ terms[:, : m * m].reshape(-1, m, m) @ basis
         # both tables C-contiguous: assemble's products round a strided operand differently
         self.null_terms = np.ascontiguousarray(null.real.reshape(-1, m * m))
         self.coherence_terms = np.ascontiguousarray(terms[:, m * m:])
@@ -358,7 +353,7 @@ class BlockEngine:
         # functionals[c, d] . y = -Tr(H_c S_d[rho]) for Hamiltonian term c, dissipator term d and the real
         # coordinates y of rho: Tr(H X) = vec(H^T) . vec(X), every nonzero entry of H_c lies in the null block,
         # and there S_d = U N_d U^H, so the row is -r_c N_d with r_c = vec(H_c^T) U, real as H_c is Hermitian.
-        r = (np.array([vec(h.T)[self.index[0]] for h in hamiltonian_terms()]) @ self.basis).real
+        r = (np.array([vec(h.T)[self.index[0]] for h in hamiltonian_terms()]) @ basis).real
         self.functionals = -np.einsum("ci,dij->cdj", r, self.null_terms[len(HAMILTONIAN_FIELDS):].reshape(-1, m, m))
 
     def heat_currents(self, coef: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -371,7 +366,7 @@ class BlockEngine:
         reads an entry outside the null block. A non-Hermitian x is read
         through its Hermitian part, whose coordinates y are.
         """
-        y = (x @ self.basis.conj()).real
+        y = self.layout.coordinates(x)
         h_coef, d_coef = coef[:, : len(HAMILTONIAN_FIELDS)], coef[:, len(HAMILTONIAN_FIELDS):]
         terms = np.einsum("cdk,nk->ncd", self.functionals, y) * h_coef[:, :, None] * d_coef[:, None, :]
         return np.stack([terms[:, :, bath].sum(axis=(1, 2)) for bath in _BATH_TERMS], axis=1)
@@ -379,7 +374,7 @@ class BlockEngine:
     def assemble(self, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The real (n, m, m) null blocks and the (n, k) coherence entries of an (n, 14) coefficient array.
 
-        The null blocks are in the Hermitian basis ``basis``; the coherence
+        The null blocks are in the Hermitian basis ``layout.basis``; the coherence
         entries are the kept coherence blocks side by side, each row by row,
         and ``coherence_blocks`` reads them as matrices.
         """
@@ -420,18 +415,12 @@ class BlockEngine:
             size = np.maximum.reduceat(diagonal + off, self.block_rows, axis=1)
             return floor - 8 * np.finfo(float).eps * np.array(self.sizes[1:]) * size
 
-    def hermitian(self, y: np.ndarray) -> np.ndarray:
-        """The null-block support vectors U y of real coordinates y in the Hermitian basis, exactly Hermitian."""
-        x = y.astype(complex)
-        x[:, self.sym] = _HALF_ROOT * (y[:, self.sym] + 1j * y[:, self.anti])
-        x[:, self.anti] = x[:, self.sym].conj()
-        return x
-
     def solve_blocks(self, null: np.ndarray, coherence: np.ndarray, coef: np.ndarray) -> list[PointSolve]:
         """Steady states from ``assemble``'s blocks; a point that fails any check fails alone.
 
         The checks and bounds are ``steady_state``'s, in its order, the state's
-        by ``StateSupport.broken_bounds``. Each runs only on the points that
+        by ``StateSupport.broken_bounds`` on its real coordinates: the state
+        U y is Hermitian by construction. Each runs only on the points that
         passed the ones before it, so a bad point cannot spoil its neighbours.
         The null vector is solved for in the real Hermitian basis, whose
         change of basis U is unitary: every singular value, norm and floor is
@@ -497,14 +486,14 @@ class BlockEngine:
         keep = residual <= RESIDUAL_TOL
         drop(~keep, "residual",
              lambda k: _RESIDUAL.format(residual[k], RESIDUAL_TOL) if np.isfinite(residual[k]) else _RESIDUAL_OVERFLOW)
-        x = self.hermitian(y[keep])
-        residual = residual[keep]
+        y, residual = y[keep], residual[keep]
 
-        broken = self.layout.broken_bounds(x, HERM_TOL, TRACE_TOL, EIG_FLOOR)
-        first, keep = broken.argmax(axis=0), ~broken.any(axis=0)  # only a failing state is measured, to word it
-        drop(~keep, "invalid_state", lambda k: _INVALID_STATE + _STATE_BOUNDS[first[k]].format(
-            _state_defects(self.layout.matrices(x[k]))[first[k]]))
-        x, residual = x[keep], residual[keep]
+        # the last two of _STATE_BOUNDS; only a failing state is measured, to word it
+        broken = self.layout.broken_bounds(y, TRACE_TOL, EIG_FLOOR)
+        bound, keep = 1 + broken.argmax(axis=0), ~broken.any(axis=0)
+        drop(~keep, "invalid_state", lambda k: _INVALID_STATE + _STATE_BOUNDS[bound[k]].format(
+            _state_defects(self.layout.matrices(self.layout.hermitian(y[k])))[bound[k]]))
+        x, residual = self.layout.hermitian(y[keep]), residual[keep]
 
         currents = self.heat_currents(coef[alive], x)
         keep = balanced(currents)
@@ -597,15 +586,18 @@ def steady_states(points: Sequence[SystemParams], threads: int = 1) -> list[Poin
 
 
 class StateSupport:
-    """The entries of vec(rho) a run can fill, and the layout the state checks read them in.
+    """The entries of vec(rho) a run can fill, their real coordinates, and the layout the state checks read.
 
     A vector x over ``index`` stands for the dim x dim state with those
     entries and exact zeros elsewhere, which ``invariant_support``
-    guarantees. The levels that the entries link (rho[a, b] links a and b)
-    fall into components, and the state is block-diagonal over them, so its
-    eigenvalues are those of the blocks. A level no entry touches is a 1x1
-    zero block. For the maximally mixed start of the chain the blocks have
-    sizes 1, 3, 3, 1, 2, 1, 1; a state with full support is one block.
+    guarantees. The support is closed under transposition, and x = U y has
+    real coordinates y in the orthonormal Hermitian basis U (``basis``)
+    {E_aa, (E_ab + E_ba) / sqrt 2, i (E_ab - E_ba) / sqrt 2}: rho[a, b]
+    with a > b (at ``sym``) and rho[b, a] hold the pair's two coordinates,
+    and a population keeps its position. The levels the entries link fall
+    into components, over which the state is block-diagonal. For the
+    maximally mixed start of the chain the blocks have sizes 1, 3, 3, 1, 2,
+    1, 1; a state with full support is one block.
     """
 
     def __init__(self, index: np.ndarray, dim: int) -> None:
@@ -615,7 +607,14 @@ class StateSupport:
         where[index] = np.arange(len(index))
         where = unvec(where)  # where[a, b]: position of rho[a, b]
         self.partner = where[col, row]  # position of rho[b, a] for each entry rho[a, b]
+        if (self.partner == len(index)).any():
+            raise ValueError("the support is not closed under transposition: it holds no Hermitian state")
         self.diagonal = np.flatnonzero(row == col)
+        self.sym = np.flatnonzero(np.arange(len(index)) < self.partner)  # vec order puts rho[a, b] first for a > b
+        self.anti = self.partner[self.sym]
+        self.basis = np.eye(len(index), dtype=complex)  # U, whose column k is basis element k on the support
+        self.basis[self.sym, self.sym] = self.basis[self.anti, self.sym] = _HALF_ROOT
+        self.basis[self.sym, self.anti], self.basis[self.anti, self.anti] = 1j * _HALF_ROOT, -1j * _HALF_ROOT
         link = np.zeros((dim, dim), dtype=bool)
         link[row, col] = True
         self.components = connected_components(link)  # the levels of each block
@@ -625,13 +624,12 @@ class StateSupport:
         self.squares = np.full((largest, largest, len(self.components)), len(index))
         for b, levels in enumerate(self.components):
             self.squares[: len(levels), : len(levels), b] = where[np.ix_(levels, levels)]
-        # x.real @ centres holds each level's diagonal entry, and |x| @ radii its disc's radius: an entry
-        # rho[a, b] of the lower triangle (a > b) counts in row a and, as its conjugate, in row b
-        self.centres = np.zeros((len(index), dim))
-        self.centres[self.diagonal, row[self.diagonal]] = 1.0
-        lower = np.flatnonzero(row > col)
-        self.radii = np.zeros((len(index), dim))
-        self.radii[lower, row[lower]] = self.radii[lower, col[lower]] = 1.0
+        # for coordinates y as columns, centres @ y holds each level's diagonal entry and radii @ hypot(y_sym,
+        # y_anti) its disc's radius: |rho[a, b]| = hypot(y_sym, y_anti) / sqrt 2 counts in rows a and b
+        self.centres = np.zeros((dim, len(index)))
+        self.centres[row[self.diagonal], self.diagonal] = 1.0
+        self.radii = np.zeros((dim, len(self.sym)))
+        self.radii[row[self.sym], range(len(self.sym))] = self.radii[col[self.sym], range(len(self.sym))] = _HALF_ROOT
 
     def matrices(self, x: np.ndarray) -> np.ndarray:
         """The dim x dim states that support vectors stand for; a stack (n, len(index)) gives a stack."""
@@ -639,46 +637,58 @@ class StateSupport:
         full[..., self.index] = x
         return unvec(full)
 
-    def broken_bounds(self, x: np.ndarray, herm_tol: float, trace_tol: float, floor: float) -> np.ndarray:
-        """Per state of a stack of support vectors, whether it breaks each bound, as a (3, n) bool array.
+    def coordinates(self, x: np.ndarray) -> np.ndarray:
+        """The real coordinates Re(U^H x) of support vectors: those of each state's Hermitian part."""
+        return (x @ self.basis.conj()).real
 
-        The rows: a Hermiticity defect above ``herm_tol``, a trace error above ``trace_tol`` (both as
-        ``_state_defects``) and ``bounded_below``'s refusal. A NaN defect breaks its bound.
+    def hermitian(self, y: np.ndarray) -> np.ndarray:
+        """The support vectors U y of real coordinates, exactly Hermitian: each mirror entry is its partner's conjugate."""
+        x = y.astype(complex)
+        with np.errstate(invalid="ignore"):  # a non-finite coordinate gives a non-finite entry
+            pair = _HALF_ROOT * (y[..., self.sym] + 1j * y[..., self.anti])
+        x[..., self.sym], x[..., self.anti] = pair, pair.conj()
+        return x
+
+    def broken_bounds(self, y: np.ndarray, trace_tol: float, floor: float) -> np.ndarray:
+        """Per state of a stack of real coordinates, whether it breaks each bound, as a (2, n) bool array.
+
+        The rows: a trace error above ``trace_tol`` (the populations' sum,
+        as ``_state_defects``) and ``bounded_below``'s refusal, which every
+        state with a non-finite coordinate gets. U y is exactly Hermitian.
         """
-        # an entry off the support reads the appended zero column
-        partner = np.concatenate([x, np.zeros((len(x), 1), dtype=x.dtype)], axis=1)[:, self.partner]
-        herm = np.abs(x - partner.conj()).max(axis=1)
-        tr_err = np.abs(x[:, self.diagonal].sum(axis=1) - 1.0)
-        return np.array([~(herm <= herm_tol), ~(tr_err <= trace_tol), ~self.bounded_below(x, floor)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            tr_err = np.abs(y.T[self.diagonal].sum(axis=0) - 1.0)
+        return np.array([~(tr_err <= trace_tol), ~self.bounded_below(y, floor)])
 
-    def bounded_below(self, x: np.ndarray, floor: float) -> np.ndarray:
-        """Whether each state of a stack of support vectors has no eigenvalue below ``floor``, decided without eigenvalues.
+    def bounded_below(self, y: np.ndarray, floor: float) -> np.ndarray:
+        """Whether each state of a stack of real coordinates has no eigenvalue below ``floor``, decided without eigenvalues.
 
         Gershgorin's discs clear most states first: lambda_min >= min_i
         (a_ii - R_i), where R_i is the absolute sum of row i off the
-        diagonal, taken over the Hermitian completion of the lower triangle
-        that the pivots and ``eigvalsh`` read. A state is cleared when that
-        bound, less 8 k eps times its largest |a_ii| + R_i (k the largest
-        block's size), is at least ``floor``: the allowance covers the
-        rounding of the sums, about k eps of it, and the error of a computed
-        eigenvalue, a modest multiple of eps ||A||_2, which the same largest
-        sum bounds. Only the states the discs cannot clear are factored, by
-        ``pivots_bounded_below``. A state with a non-finite entry is not
-        bounded below.
+        diagonal, each |a_ij| = hypot(y_sym, y_anti) / sqrt 2. A state is
+        cleared when that bound, less 8 k eps times its largest |a_ii| + R_i
+        (k the largest block's size), is at least ``floor``: the allowance
+        covers the rounding of the sums, about k eps of it, and the error of
+        a computed eigenvalue, a modest multiple of eps ||A||_2, which the
+        same largest sum bounds. Only the states the discs cannot clear are
+        factored, as U y, by ``pivots_bounded_below``. A non-finite
+        coordinate makes a disc or the allowance inf or NaN, which clears
+        nothing, and the pivots refuse it.
         """
-        # a non-finite entry makes a disc or the allowance inf or NaN, which clears nothing
+        # states as columns, so that each sum over a row's entries runs across every state at once
+        yt = y.T
         with np.errstate(over="ignore", invalid="ignore"):
-            centre = x.real @ self.centres
-            radius = np.abs(x) @ self.radii
-            allowance = 8 * len(self.squares) * np.finfo(float).eps * (np.abs(centre) + radius).max(axis=1)
-            ok = (centre - radius).min(axis=1) - allowance >= floor
-        rest = np.flatnonzero(~ok)
-        if rest.size:
-            ok[rest] = self.pivots_bounded_below(x[rest], floor)
-        return ok & np.isfinite(x).all(axis=1)
+            centre = self.centres @ yt
+            radius = self.radii @ np.hypot(yt[self.sym], yt[self.anti])
+            allowance = 8 * len(self.squares) * np.finfo(float).eps * (np.abs(centre) + radius).max(axis=0)
+            ok = (centre - radius).min(axis=0) - allowance >= floor
+        if not ok.all():
+            rest = np.flatnonzero(~ok)
+            ok[rest] = self.pivots_bounded_below(self.hermitian(y[rest]), floor)
+        return ok
 
     def pivots_bounded_below(self, x: np.ndarray, floor: float) -> np.ndarray:
-        """``bounded_below``'s decision from the LDL^H pivots alone, with no disc clearing any state.
+        """``bounded_below``'s decision from the LDL^H pivots of support vectors alone, with no disc clearing any state.
 
         A Hermitian block has lambda_min >= floor exactly when the block
         minus floor * I is positive semidefinite, which its LDL^H pivots
@@ -702,31 +712,32 @@ class StateSupport:
         return ok.all(axis=0) & np.isfinite(x).all(axis=1)
 
 
-_SAMPLE_CHECKS = ("hermiticity defect {:.3e}", "trace drift {:.3e}", "negative eigenvalue {:.3e}")
+_SAMPLE_CHECKS = ("trace drift {:.3e}", "negative eigenvalue {:.3e}")
+_SMALLER_STEP = "try a smaller dt_max"
+_ROUNDING = "rounding built up over {} steps, and a smaller dt_max would add steps"
 
 
-def _first_bad_sample(x: np.ndarray, support: StateSupport) -> tuple[int, str] | None:
-    """The first state of a stack of support vectors that fails the mid-integration checks, and every check it fails.
+def _first_bad_sample(y: np.ndarray, support: StateSupport) -> tuple[int, str, bool] | None:
+    """The first state of a stack of real coordinates that fails the mid-integration checks, and every check it fails.
 
-    The checks are those of a density matrix at 10x its tolerances, in the
-    order finite, Hermitian, trace drift, smallest eigenvalue; the failed
-    ones are listed in that order. None if all states pass. The last three are
-    ``StateSupport.broken_bounds``; only the first failing state's full matrix
-    is measured, by ``_state_defects``, to word the message.
-    The states from the first non-finite one on are not measured, so a
-    blow-up never reaches LAPACK.
+    The checks are ``StateSupport.broken_bounds`` at 10x a density
+    matrix's tolerances, in the order finite, trace drift, smallest
+    eigenvalue; the failed ones are listed in that order, and the flag says
+    whether the state is non-finite or has a negative eigenvalue, what a
+    smaller step can mend. None if all states pass. Only a finite failing
+    state's full matrix is measured, by ``_state_defects``, to word the
+    message, so a blow-up never reaches LAPACK.
     """
-    finite = np.isfinite(x).all(axis=1)
-    n = len(x) if finite.all() else int(np.argmin(finite))
-    bad = support.broken_bounds(x[:n], 10 * HERM_TOL, 10 * TRACE_DRIFT_TOL, 10 * EIG_FLOOR)
-    failing = np.flatnonzero(bad.any(axis=0))
-    if failing.size:
-        k = int(failing[0])
-        values = _state_defects(support.matrices(x[k]))
-        return k, ", ".join(
-            message.format(value) for failed, message, value in zip(bad, _SAMPLE_CHECKS, values) if failed[k]
-        )
-    return None if n == len(x) else (n, "state is not finite")
+    bad = support.broken_bounds(y, 10 * TRACE_DRIFT_TOL, 10 * EIG_FLOOR)
+    if not bad.any():
+        return None
+    k = int(bad.any(axis=0).argmax())
+    if not np.isfinite(y[k]).all():
+        return k, "state is not finite", True
+    values = _state_defects(support.matrices(support.hermitian(y[k])))[1:]
+    problem = ", ".join(message.format(value) for failed, message, value in zip(bad, _SAMPLE_CHECKS, values)
+                        if failed[k])
+    return k, problem, bool(bad[1, k])
 
 
 def invariant_support(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -754,25 +765,29 @@ def evolve(
 ) -> list[DensityMatrix]:
     """States at t_final * i / samples for i = 0..samples, from one fixed-step RK4 propagation.
 
-    Integrates d vec(rho)/dt = L vec(rho) from ``rho0``; each of the
-    ``samples`` output intervals takes the same whole number of uniform
-    steps h no larger than ``dt_max``. L is linear, so one RK4 step is the
-    matrix P = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, and n steps are
-    P^n. P acts on the invariant support of vec(rho0) only, which is exact
-    (26 of the chain's 144 entries for the maximally mixed state at the
-    shipped operating points). Within each interval the state is checked
-    every ``max(1, steps // 200)`` steps and at the interval's end. The first
-    interval's checked states come from P powered to that stride, and each
-    later interval's from the previous ones times P^steps; one interval is
-    checked at a time, by ``StateSupport.broken_bounds`` on all its states at
-    once. A breach raises IntegrationError naming the first failing
-    state's time since ``rho0`` and every check it fails (typically an
-    unstable step size).
+    Integrates d vec(rho)/dt = L vec(rho) from ``rho0``'s Hermitian part;
+    each of the ``samples`` output intervals takes the same whole number of
+    uniform steps h no larger than ``dt_max``. The state is held on the
+    invariant support of vec(rho0), which is exact (26 of the chain's 144
+    entries for the maximally mixed state at the shipped operating points),
+    by its real coordinates y in the support's Hermitian basis U, where the
+    generator G = U^H L U is real, as L keeps states Hermitian. So the
+    Hermiticity bound applies to G, once: an imaginary part above the
+    rounding bound 8 m eps ||L||_F (m entries) is a ValueError. One RK4 step
+    is the real matrix P = I + hG + (hG)^2/2 + (hG)^3/6 + (hG)^4/24. The
+    state is checked every ``max(1, steps // 200)`` steps and at each
+    interval's end: the first interval's checked states come from P powered
+    to that stride, each later one's from the previous ones times P^steps,
+    and an interval's are checked at once by ``StateSupport.broken_bounds``.
+    A breach raises IntegrationError naming the first failing state's time
+    since ``rho0`` and every check it fails. Only a non-finite state or a
+    negative eigenvalue, what an unstable step gives, advises a smaller
+    dt_max; a trace drift is rounding built up over the steps taken.
 
     Each output state must keep its trace within ``TRACE_DRIFT_TOL`` of 1
-    since ``rho0``; it is then Hermitized, renormalized and validated as a
-    ``DensityMatrix``. The propagation itself is never renormalized. The
-    first output is ``rho0``.
+    since ``rho0``; it is then renormalized and validated as a
+    ``DensityMatrix``. U y is exactly Hermitian, and the propagation itself
+    is never renormalized. The first output is ``rho0``.
     """
     if not t_final > 0:
         raise ValueError(f"t_final must be positive, got {t_final}")
@@ -792,50 +807,50 @@ def evolve(
         raise ValueError(f"state dimension {rho0.dim} does not match generator dimension {liouvillian.dim}")
     steps = max(1, math.ceil(per_interval))
     dt = t_final / samples / steps
-    v0 = vec(rho0.mat).astype(complex)
-    support = StateSupport(invariant_support(liouvillian.matrix, v0), rho0.dim)
-    hl = dt * liouvillian.matrix[np.ix_(support.index, support.index)]
+    start = vec(0.5 * (rho0.mat + rho0.mat.conj().T))  # rho0's Hermitian part: its entries come in transpose pairs
+    support = StateSupport(invariant_support(liouvillian.matrix, start), rho0.dim)
+    l_sub = liouvillian.matrix[np.ix_(support.index, support.index)]
     eye = np.eye(len(support.index))
-    with np.errstate(over="ignore", invalid="ignore"):
-        step = eye + hl @ (eye + (hl / 2) @ (eye + (hl / 3) @ (eye + hl / 4)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite G fails the step matrix's check
+        g = support.basis.conj().T @ l_sub @ support.basis
+        discarded, bound = np.linalg.norm(g.imag), 8 * len(l_sub) * np.finfo(float).eps * np.linalg.norm(l_sub)
+        hg = dt * g.real
+        step = eye + hg @ (eye + (hg / 2) @ (eye + (hg / 3) @ (eye + hg / 4)))
+    if discarded > bound:
+        raise ValueError(f"the generator does not preserve Hermiticity: its matrix in the Hermitian basis has an "
+                         f"imaginary part of norm {discarded:.3e}, above the rounding bound {bound:.3e}")
     if not np.isfinite(step).all():
         raise IntegrationError(f"the RK4 step matrix is not finite: the generator times the step {dt:.3g} overflows")
 
     check_every = max(1, steps // 200)
     check_steps = [*range(check_every, steps, check_every), steps]  # the last stride may be shorter
-    v = v0[support.index]
-    checked = []
+    y = support.coordinates(start[support.index])
+    checked = np.empty((len(y), len(check_steps)))  # the interval's checked states as columns
     # an unstable step overflows to inf and then NaN; the checks report where it began
     with np.errstate(over="ignore", invalid="ignore"):
         stride = np.linalg.matrix_power(step, check_every)
         last = np.linalg.matrix_power(step, steps - check_every * (len(check_steps) - 1))
-        for _ in check_steps[:-1]:
-            v = stride @ v
-            checked.append(v)
-        checked.append(last @ v)
-        checked = np.array(checked)
-        to_next = np.linalg.matrix_power(step, steps).T if samples > 1 else None  # one interval on
+        for k in range(len(check_steps) - 1):
+            y = checked[:, k] = stride @ y
+        checked[:, -1] = last @ y
+        to_next = np.linalg.matrix_power(step, steps) if samples > 1 else None  # one interval on
 
     states = [rho0]
     for i in range(samples):
         if i > 0:
             with np.errstate(over="ignore", invalid="ignore"):
-                checked = checked @ to_next
-        failed = _first_bad_sample(checked, support)
+                checked = to_next @ checked
+        failed = _first_bad_sample(checked.T, support)
         if failed is not None:
-            k, problem = failed
-            raise IntegrationError(
-                f"integration failed at t={(i * steps + check_steps[k]) * dt:.4g}: {problem}; try a smaller dt_max"
-            )
-        rho = support.matrices(checked[-1])
-        drift = abs(np.trace(rho) - 1.0)
-        if drift > TRACE_DRIFT_TOL:
-            raise IntegrationError(f"trace drifted by {drift:.3e} over the run; try a smaller dt_max")
-        rho = 0.5 * (rho + rho.conj().T)
+            k, problem, unstable = failed
+            taken = i * steps + check_steps[k]
+            advice = _SMALLER_STEP if unstable else _ROUNDING.format(taken)
+            raise IntegrationError(f"integration failed at t={taken * dt:.4g}: {problem}; {advice}")
+        tr = checked[support.diagonal, -1].sum()
+        if abs(tr - 1.0) > TRACE_DRIFT_TOL:
+            raise IntegrationError(f"trace drifted by {abs(tr - 1.0):.3e} over the run; {_ROUNDING.format((i + 1) * steps)}")
         try:
-            states.append(DensityMatrix(rho / np.trace(rho).real))
+            states.append(DensityMatrix(support.matrices(support.hermitian(checked[:, -1] / tr))))
         except ValueError as exc:  # the run checks at 10x the bounds each output state is held to
-            raise IntegrationError(
-                f"integration failed at t={(i + 1) * steps * dt:.4g}: {exc}; try a smaller dt_max"
-            ) from None
+            raise IntegrationError(f"integration failed at t={(i + 1) * steps * dt:.4g}: {exc}; {_SMALLER_STEP}") from None
     return states

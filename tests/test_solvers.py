@@ -34,7 +34,6 @@ from triheat.config import load_sweep
 from triheat.solvers import (
     DEGENERACY_TOL,
     EIG_FLOOR,
-    HERM_TOL,
     TRACE_DRIFT_TOL,
     StateSupport,
     _first_bad_sample,
@@ -296,11 +295,44 @@ class TestEvolve:
 
     def test_output_trace_drift_is_named(self):
         # the leaky generator L + 5e-10 I scales the trace by e^(5e-10 t), 1 + 5e-9 at t = 10: inside the
-        # run's checks at 10 TRACE_DRIFT_TOL, outside the output state's bound of TRACE_DRIFT_TOL
+        # run's checks at 10 TRACE_DRIFT_TOL, outside the output state's bound of TRACE_DRIFT_TOL. A smaller
+        # step would add steps, so the message names the steps taken rather than advising one
         liou = single_qubit_liouvillian()
         leaky = dataclasses.replace(liou, matrix=liou.matrix + 5e-10 * np.eye(4))
-        with pytest.raises(IntegrationError, match=r"^trace drifted by 5\.000e-09 over the run; try a smaller dt_max$"):
+        with pytest.raises(IntegrationError, match=(
+            r"^trace drifted by 5\.000e-09 over the run; rounding built up over 1000 steps, "
+            r"and a smaller dt_max would add steps$"
+        )):
             evolve(DensityMatrix.maximally_mixed(2), leaky, t_final=10.0, samples=1, dt_max=0.01)
+
+    def test_mid_run_trace_drift_names_the_steps_taken(self):
+        # L + 1.5e-7 I scales the trace by e^(1.5e-7 t): past 10 TRACE_DRIFT_TOL from t = 0.067, which
+        # the run's check after step 7 (of 20, each checked) is the first to see
+        liou = single_qubit_liouvillian()
+        leaky = dataclasses.replace(liou, matrix=liou.matrix + 1.5e-7 * np.eye(4))
+        with pytest.raises(IntegrationError, match=(
+            r"^integration failed at t=0\.07: trace drift 1\.050e-08; rounding built up over 7 steps, "
+            r"and a smaller dt_max would add steps$"
+        )):
+            evolve(DensityMatrix.maximally_mixed(2), leaky, t_final=0.2, samples=1, dt_max=0.01)
+
+    def test_generator_that_breaks_hermiticity_is_refused(self):
+        # the Hermiticity bound applies once per run, to the generator in the Hermitian basis:
+        # L + 1e-6j I maps a Hermitian state to one with an anti-Hermitian part; on the maximally mixed
+        # start's support, the two populations, its imaginary part is 1e-6j I_2
+        liou = single_qubit_liouvillian()
+        bent = dataclasses.replace(liou, matrix=liou.matrix + 1e-6j * np.eye(4))
+        with pytest.raises(ValueError, match=(
+            r"^the generator does not preserve Hermiticity: its matrix in the Hermitian basis has an imaginary "
+            r"part of norm 1\.414e-06, above the rounding bound \d\.\d{3}e-1\d$"
+        )):
+            evolve(DensityMatrix.maximally_mixed(2), bent, t_final=1.0, samples=1)
+        # a generator that feeds rho[1, 0] from a population but never rho[0, 1]: its support holds no
+        # Hermitian state
+        lopsided = liou.matrix.copy()
+        lopsided[1, 0] += 1e-3
+        with pytest.raises(ValueError, match="^the support is not closed under transposition"):
+            evolve(DensityMatrix.maximally_mixed(2), dataclasses.replace(liou, matrix=lopsided), 1.0, 1)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension 2 does not match generator dimension 12"):
@@ -331,12 +363,11 @@ def evolve_loop(rho0, liou, t_final, samples, dt_max):
 
 
 def first_bad_full(rho):
-    """Reference: the mid-integration checks on a stack of full matrices."""
+    """Reference: the mid-integration checks on a stack of full Hermitian matrices."""
     finite = np.isfinite(rho).all(axis=(-2, -1))
     n = len(rho) if finite.all() else int(np.argmin(finite))
-    herm, tr_err, min_eig = _state_defects(rho[:n])
+    _, tr_err, min_eig = _state_defects(rho[:n])
     checks = (
-        (herm > 10 * HERM_TOL, "hermiticity defect {:.3e}", herm),
         (tr_err > 10 * TRACE_DRIFT_TOL, "trace drift {:.3e}", tr_err),
         (min_eig < 10 * EIG_FLOOR, "negative eigenvalue {:.3e}", min_eig),
     )
@@ -459,9 +490,10 @@ class TestStateSupport:
             assert np.array_equal(support.index, mixed.index)
 
         def compare(states):
-            x = vec_stack(states)[:, support.index]
-            assert _first_bad_sample(x, support) == first_bad_full(states)
-            return _first_bad_sample(x, support)
+            result = _first_bad_sample(support.coordinates(vec_stack(states)[:, support.index]), support)
+            result = result and result[:2]  # the failure, without whether a smaller step can mend it
+            assert result == first_bad_full(states)
+            return result
 
         states = block_diagonal_states(rng, components, 40)
         assert compare(states) is None
@@ -475,18 +507,31 @@ class TestStateSupport:
             bad[k][other, other] += shift
             result = compare(bad)
             assert result[0] == k and result[1].startswith("negative eigenvalue -")
+        # real coordinates hold no non-Hermitian state: the states are exactly Hermitian by construction
+        # (test_states_are_exactly_hermitian), and the generator's Hermiticity is bounded once per run
+        # (TestEvolve.test_generator_that_breaks_hermiticity_is_refused)
         bad = states.copy()
         a, b = components[2][0], components[2][-1]
-        bad[5][a, b] += 1e-9  # its partner entry does not move
         bad[9][b, b] += 1e-6
         bad[11] *= 1.0 + 1e-5
-        assert compare(bad) == (5, f"hermiticity defect {1e-9:.3e}")
-        bad[5] = states[5]
         assert compare(bad)[0] == 9 and "trace drift" in compare(bad)[1]
         bad[9] = states[9]
         assert compare(bad)[0] == 11
         bad[3][a, a] = np.nan
         assert compare(bad) == (3, "state is not finite")
+
+    def test_states_are_exactly_hermitian(self, rng):
+        # every output of a run on all 144 entries, and U y at coordinates near the largest floats:
+        # each mirror entry is written as its partner's conjugate
+        liou = transfer_liouvillian()
+        rho0 = random_density(rng, 12)
+        assert len(invariant_support(liou.matrix, vec(rho0))) == 144
+        states = evolve(DensityMatrix(rho0), liou, 40.0, 20, 0.01)
+        assert all(np.array_equal(s.mat, s.mat.conj().T) for s in states[1:])
+        support = StateSupport(np.arange(144), 12)
+        y = rng.choice([-1.0, 1.0], size=(5, 144)) * rng.uniform(0.5, 1.7, size=(5, 144)) * 1e300
+        full = support.matrices(support.hermitian(y))
+        assert np.isfinite(full).all() and np.array_equal(full, np.swapaxes(full, -1, -2).conj())
 
     @pytest.mark.parametrize("layout", ["blocks-1-2-3", "full-support", "null-block"])
     def test_bounded_below_matches_eigvalsh_at_the_bound(self, layout):
@@ -535,8 +580,8 @@ class TestStateSupport:
         assert np.all(np.abs(full[:-3] - floor) >= 0.9e-4 * abs(floor))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            ours = support.bounded_below(vec_stack(states)[:, support.index], floor)
-            blown = np.full((3, len(support.index)), 0.1, dtype=complex)
+            ours = support.bounded_below(support.coordinates(vec_stack(states)[:, support.index]), floor)
+            blown = np.full((3, len(support.index)), 0.1)
             blown[0, 3], blown[1, -1], blown[2, support.diagonal[-1]] = np.inf, np.nan, np.inf
             assert not support.bounded_below(blown, floor).any()
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
@@ -572,8 +617,8 @@ class TestStateSupport:
             state[k, k] = floor * (1.0 + (k - 6) * 1e-6)
             states.append(state)
         x = vec_stack(np.array(states))[:, support.index]
-        # deliberately not Hermitian: one triangle of a block kept and the other emptied. With the lower
-        # triangle kept, a disc over the matrix's own rows would clear indefinite states; only the lower is read
+        # one triangle of a block kept and the other emptied, read as the lower triangle's Hermitian
+        # completion, as the pivots and eigvalsh read a matrix: real coordinates hold no other state
         levels = max(components, key=len)
         mask = np.zeros((12, 12), dtype=bool)
         mask[np.ix_(levels, levels)] = True
@@ -595,19 +640,20 @@ class TestStateSupport:
         full = support.matrices(x)
         hermitian = np.tril(full, -1) + np.swapaxes(np.tril(full, -1), -1, -2).conj()
         hermitian[:, range(12), range(12)] = np.diagonal(full, axis1=1, axis2=2).real
+        y = support.coordinates(vec_stack(hermitian)[:, support.index])
         lowest = np.linalg.eigvalsh(hermitian).min(axis=1)
         centre = np.diagonal(hermitian, axis1=1, axis2=2).real
         radius = np.abs(hermitian).sum(axis=2) - np.abs(centre)
         allowance = 8 * len(support.squares) * np.finfo(float).eps * (np.abs(centre) + radius).max(axis=1)
 
-        ours = support.bounded_below(x, floor)
-        alone = support.pivots_bounded_below(x, floor)
+        ours = support.bounded_below(y, floor)
+        alone = support.pivots_bounded_below(support.hermitian(y), floor)
         factored = []
         pivots = StateSupport.pivots_bounded_below
         with pytest.MonkeyPatch.context() as m:
             m.setattr(StateSupport, "pivots_bounded_below",
                       lambda self, x, floor: factored.append(len(x)) or pivots(self, x, floor))
-            assert np.array_equal(support.bounded_below(x, floor), ours)
+            assert np.array_equal(support.bounded_below(y, floor), ours)
         assert 0 < sum(factored) < len(x)  # the discs clear some states and leave others to the pivots
         clear = np.abs(lowest - floor) > allowance
         assert np.array_equal(ours[clear], alone[clear])
@@ -914,7 +960,7 @@ class TestBlockEngine:
         mixed = invariant_support(transfer_liouvillian().matrix, vec(np.eye(12)))
         assert len(mixed) == 26 and np.array_equal(engine.index[0], mixed)
         # the Hermitian basis is orthonormal, and holds each population at its own position
-        basis = engine.basis
+        basis = engine.layout.basis
         assert np.max(np.abs(basis.conj().T @ basis - np.eye(engine.sizes[0]))) <= 1e-15
         assert np.array_equal(basis[:, engine.layout.diagonal], np.eye(engine.sizes[0])[:, engine.layout.diagonal])
         for p in seeded_points(count=8):
@@ -1023,7 +1069,7 @@ class TestBlockEngine:
         if inject in ("indefinite", "traceless"):
             # I - y y^T / |y|^2 in the Hermitian basis, for the real coordinates y = U^H x of the
             # Hermitian x: its null vector is y, and its other singular values are 1
-            y = (engine.basis.conj().T @ x).real
+            y = (engine.layout.basis.conj().T @ x).real
             null[2] = np.eye(len(y)) - np.outer(y, y) / (y @ y)
         solved = engine.solve_blocks(null, coherence, coef)
         reference = steady_states(points)
@@ -1110,9 +1156,9 @@ class TestCurrentTable:
         # the engine's table reads the real coordinates y of x = U y: each H_c lies in the
         # null block, and r_c = vec(H_c^T) U is real there, as H_c is Hermitian
         assert np.max(np.abs(h_rows[:, outside])) == 0.0
-        r = h_rows[:, engine.index[0]] @ engine.basis
+        r = h_rows[:, engine.index[0]] @ engine.layout.basis
         assert np.max(np.abs(r.imag)) <= 1e-15 * np.max(np.abs(r))
-        inside = full[..., engine.index[0]] @ engine.basis
+        inside = full[..., engine.index[0]] @ engine.layout.basis
         assert engine.functionals.dtype == float and engine.functionals.shape == (6, 8, 26)
         assert np.max(np.abs(engine.functionals - inside)) <= 1e-15 * np.max(np.abs(inside))
 
