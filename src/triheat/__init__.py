@@ -25,16 +25,16 @@ from .observables import HeatCurrents, bath_currents, heat_current, reduced_popu
 from .solvers import (
     DensityMatrix,
     IntegrationError,
-    PointSolve,
     SteadyStateError,
     SteadyStateResult,
+    SteadyStates,
     chain_liouvillian,
     evolve,
     steady_state,
     steady_states,
     trace_distance,
 )
-from .sweep import SweepRow, emit_csv, grid_points, run_sweep
+from .sweep import SweepTable, emit_csv, grid_points, run_sweep
 from .svgplot import emit_plot
 
 __version__ = "0.1.0"

@@ -39,7 +39,7 @@ from .solvers import (
     steady_states,
     trace_distance,
 )
-from .sweep import STATUS_OK, emit_csv, run_sweep, write_csv
+from .sweep import emit_csv, run_sweep, write_csv
 from .svgplot import emit_plot
 
 # The generators come from solvers.chain_liouvillian, every current from the
@@ -86,15 +86,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_steady(args: argparse.Namespace) -> int:
     params = load_params(args.config)
-    (solved,) = steady_states([params])
-    if solved.error is not None:
-        raise solved.error
-    cur = solved.currents
-    print(f"J_L = {cur.j_l:+.12e}")
-    print(f"J_M = {cur.j_m:+.12e}")
-    print(f"J_R = {cur.j_r:+.12e}")
-    print(f"residual = {solved.residual:.3e}")
-    for name, pops in zip(("left", "middle", "right"), reduced_populations(solved.rho)):
+    solved = steady_states([params])
+    if solved.errors[0] is not None:
+        raise solved.errors[0]
+    for name, current in zip(("J_L", "J_M", "J_R"), solved.currents[0].tolist()):
+        print(f"{name} = {current:+.12e}")
+    print(f"residual = {float(solved.residual[0]):.3e}")
+    for name, pops in zip(("left", "middle", "right"), reduced_populations(solved.rho(0))):
         print(f"populations {name}: " + " ".join(f"{p:.6f}" for p in pops))
     return 0
 
@@ -112,13 +110,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise OSError(f"cannot write {kind} to {path}: {path} is a directory")
         if not Path(path).parent.is_dir():
             raise OSError(f"cannot write {kind} to {path}: {Path(path).parent} is not a directory")
-    rows = run_sweep(spec, threads=args.threads)
-    emit_csv(rows, spec, out)
-    failed = Counter(r.reason for r in rows if r.status != STATUS_OK)
+    table = run_sweep(spec, threads=args.threads)
+    emit_csv(table, spec, out)
+    failed = Counter(reason for reason in table.reasons if reason)
     by_reason = ", ".join(f"{reason} {count}" for reason, count in failed.most_common())
-    print(f"wrote {len(rows)} rows to {out}" + (f" ({failed.total()} failed points: {by_reason})" if failed else ""))
+    rows = len(table.reasons)
+    print(f"wrote {rows} rows to {out}" + (f" ({failed.total()} failed points: {by_reason})" if failed else ""))
     if plot is not None:
-        emit_plot(rows, spec, plot)
+        emit_plot(table, spec, plot)
         print(f"wrote plot to {plot}")
     return 0
 
@@ -149,39 +148,36 @@ def _cmd_check(args: argparse.Namespace) -> int:
     liou = chain_liouvillian(params)
     h, channels = liou.hamiltonian, liou.channels
     free = dataclasses.replace(params, g_lm=0.0, g_mr=0.0)
-    solved, free_solved = steady_states([params, free])
-    if solved.error is not None:
-        raise solved.error
-    report("steady-state residual", solved.residual <= RESIDUAL_TOL, f"residual {solved.residual:.3e}")
+    solved = steady_states([params, free])
+    error, free_error = solved.errors
+    if error is not None:
+        raise error
+    residual = float(solved.residual[0])
+    report("steady-state residual", residual <= RESIDUAL_TOL, f"residual {residual:.3e}")
 
-    cur = solved.currents
-    ok = bool(balanced(np.array([cur.j_l, cur.j_m, cur.j_r])))
-    report("current conservation", ok, f"|J_L+J_M+J_R| = {abs(cur.total()):.3e}")
+    currents = solved.currents[0]
+    report("current conservation", bool(balanced(currents)), f"|J_L+J_M+J_R| = {abs(float(currents.sum())):.3e}")
 
-    min_eig = float(np.linalg.eigvalsh(solved.rho).min())
+    min_eig = float(np.linalg.eigvalsh(solved.rho(0)).min())
     report("positivity", min_eig >= EIG_FLOOR, f"min eigenvalue {min_eig:.3e}")
 
-    # each sample is held to round-off at the generator's and its own scale
-    rng = np.random.default_rng(7)
-    scale = np.max(np.abs(liou.matrix))
-    worst, ok = 0.0, True
-    for _ in range(10):
-        a = rng.normal(size=h.shape) + 1j * rng.normal(size=h.shape)
-        rho = a + a.conj().T
-        diff = unvec(liou.matrix @ vec(rho)) - rhs_apply(h, channels, rho)
-        deviation = float(np.max(np.abs(diff)))
-        worst = max(worst, deviation)
-        ok = ok and deviation <= 1e-14 * scale * np.max(np.abs(rho))
-    report("superoperator consistency", ok, f"max deviation {worst:.3e}")
+    # ten random Hermitian samples through both forms at once, each held to round-off at the generator's and
+    # its own scale
+    a = np.random.default_rng(7).normal(size=(10, 2, *h.shape))  # each sample's real part, then its imaginary
+    a = a[:, 0] + 1j * a[:, 1]
+    rho = a + np.swapaxes(a, -1, -2).conj()
+    deviation = np.max(np.abs(unvec(vec(rho) @ liou.matrix.T) - rhs_apply(h, channels, rho)), axis=(-2, -1))
+    ok = bool(np.all(deviation <= 1e-14 * np.max(np.abs(liou.matrix)) * np.max(np.abs(rho), axis=(-2, -1))))
+    report("superoperator consistency", ok, f"max deviation {deviation.max():.3e}")
 
-    if free_solved.error is not None:  # the twin's rates alone can fall below a solver bound
-        report("uncoupled thermalization", False, str(free_solved.error))
+    if free_error is not None:  # the twin's rates alone can fall below a solver bound
+        report("uncoupled thermalization", False, str(free_error))
     else:
         expected = np.kron(
             gibbs_state([0.0, free.e1], free.t_l),
             np.kron(gibbs_state([0.0, free.e2, free.e3], free.t_m), gibbs_state([0.0, free.e4], free.t_r)),
         )
-        dist = trace_distance(free_solved.rho, expected)
+        dist = trace_distance(solved.rho(1), expected)
         report("uncoupled thermalization", dist <= 1e-10, f"trace distance {dist:.3e}")
 
     # the engine's kept blocks; each dropped mirror block has the conjugates of its kept block's eigenvalues.
@@ -199,7 +195,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     except IntegrationError as exc:
         report("solver agreement", False, str(exc))
     else:
-        agree = trace_distance(evolved, solved.rho)
+        agree = trace_distance(evolved, solved.rho(0))
         report("solver agreement", agree <= 1e-6, f"trace distance {agree:.3e} at t={t_final:.4g}")
 
     return 1 if failures else 0

@@ -49,7 +49,7 @@ DERIVED_NAMES = ("t_l", "t_m", "t_r")
 # The derived-column grammar: these nodes, the names in DERIVED_NAMES, and int or float constants.
 _DERIVED_NODES = (ast.Expression, ast.Load, ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.UnaryOp, ast.UAdd, ast.USub)
 PARAM_FIELDS = tuple(f.name for f in fields(SystemParams))
-# The SweepRow fields written after the parameters: one current per bath, then the residual.
+# The solve's columns, written after the parameters: one current per bath, then the residual.
 RESULT_COLUMNS = (*BATHS, "residual")
 
 

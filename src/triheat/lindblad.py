@@ -73,15 +73,15 @@ def lindblad_term(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def dissipator_apply(ch: BathChannel, rho: np.ndarray) -> np.ndarray:
-    """Thermal dissipator of one channel applied to rho."""
-    if rho.shape != ch.jump.shape:
+    """Thermal dissipator of one channel applied to rho, or to each matrix of a stack (..., d, d)."""
+    if rho.shape[-2:] != ch.jump.shape:
         raise ValueError(f"dissipator_apply: rho shape {rho.shape} vs jump {ch.jump.shape}")
     n = occupation(ch.delta_e, ch.temperature)
     return ch.kappa * (n * lindblad_term(ch.jump.conj().T, rho) + (n + 1.0) * lindblad_term(ch.jump, rho))
 
 
 def rhs_apply(h: np.ndarray, channels: Sequence[BathChannel], rho: np.ndarray) -> np.ndarray:
-    """Full right-hand side: -i[H, rho] plus every channel dissipator."""
+    """Full right-hand side: -i[H, rho] plus every channel dissipator, of rho or of a stack (..., d, d)."""
     out = -1j * (h @ rho - rho @ h)
     for ch in channels:
         out = out + dissipator_apply(ch, rho)
@@ -89,8 +89,8 @@ def rhs_apply(h: np.ndarray, channels: Sequence[BathChannel], rho: np.ndarray) -
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
-    """Column-stacked vectorization."""
-    return rho.reshape(-1, order="F")
+    """Column-stacked vectorization; a stack of matrices (..., d, d) gives a stack of vectors."""
+    return np.swapaxes(rho, -1, -2).reshape(rho.shape[:-2] + (-1,))
 
 
 def unvec(v: np.ndarray) -> np.ndarray:

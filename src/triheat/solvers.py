@@ -20,7 +20,9 @@ one-interval ``evolve`` calls, and the matrix itself against ``rhs_apply``.
 
 ``steady_states`` is the batched engine that every steady state of the
 CLI comes from (``sweep``, ``steady`` and ``check``); the SVD
-``steady_state`` is its oracle in the tests. It uses two facts about the
+``steady_state`` is its oracle in the tests. It returns one
+``SteadyStates`` record of arrays, one row per point, which the sweep and
+the CLI read by column. It uses two facts about the
 chain. The generator is affine in the parameters: L(p) = sum_c coef_c(p) *
 S_c over 14 fixed terms, the six Hamiltonian terms and kappa*(n+1), kappa*n
 for each of the four channels. And the terms share a sparse nonzero
@@ -220,29 +222,30 @@ _UNBALANCED = "steady-state currents do not balance: sum {:.3e}"
 
 
 @dataclass(frozen=True, eq=False)
-class PointSolve:
-    """One point of a batched solve: its state, residual and currents, or the failed check.
+class SteadyStates:
+    """A batched solve's results as columns, one row per point.
 
-    ``x`` is the state's support vector on the engine's null block, and
-    ``rho`` scatters it into the 12 x 12 state. A sweep holds every point's
-    solve until its rows are made, and 26 entries take a fifth of the memory
-    of 144. ``gap`` is a certified lower bound on the generator's
-    second-smallest singular value, the least of its blocks' floors, where a
-    block whose floor does not clear ``DEGENERACY_TOL`` counts with its
-    computed singular value less that value's rounding allowance (NaN when
-    the point failed before it was bounded).
+    ``x`` (n, 26) holds each state's support vector on the engine's null
+    block, and ``rho(k)`` scatters row k into the 12 x 12 state; 26 entries
+    take a fifth of the memory of 144. ``currents`` (n, 3) holds J_L, J_M,
+    J_R in ``BATHS`` order. ``errors[k]`` is the check point k failed, or
+    None, and a failed point's ``x``, ``residual`` and ``currents`` are NaN.
+    ``gap`` is a certified lower bound on the generator's second-smallest
+    singular value, the least of its blocks' floors, where a block whose
+    floor does not clear ``DEGENERACY_TOL`` counts with its computed
+    singular value less that value's rounding allowance (NaN when the point
+    failed before it was bounded).
     """
 
-    x: np.ndarray | None = None
-    residual: float = math.nan
-    currents: HeatCurrents | None = None
-    gap: float = math.nan
-    error: SteadyStateError | None = None
+    x: np.ndarray
+    residual: np.ndarray
+    currents: np.ndarray
+    gap: np.ndarray
+    errors: list[SteadyStateError | None]
 
-    @property
-    def rho(self) -> np.ndarray | None:
-        """The steady state as a dim x dim matrix, or None when the point failed."""
-        return None if self.x is None else block_engine().layout.matrices(self.x)
+    def rho(self, k: int) -> np.ndarray:
+        """Point k's steady state as a dim x dim matrix."""
+        return block_engine().layout.matrices(self.x[k])
 
 
 def generator_coefficients(p: SystemParams) -> list[float]:
@@ -415,8 +418,8 @@ class BlockEngine:
             size = np.maximum.reduceat(diagonal + off, self.block_rows, axis=1)
             return floor - 8 * np.finfo(float).eps * np.array(self.sizes[1:]) * size
 
-    def solve_blocks(self, null: np.ndarray, coherence: np.ndarray, coef: np.ndarray) -> list[PointSolve]:
-        """Steady states from ``assemble``'s blocks; a point that fails any check fails alone.
+    def solve_blocks(self, null: np.ndarray, coherence: np.ndarray, coef: np.ndarray) -> SteadyStates:
+        """Steady states from ``assemble``'s blocks, one row per point; a point that fails any check fails alone.
 
         The checks and bounds are ``steady_state``'s, in its order, the state's
         by ``StateSupport.broken_bounds`` on its real coordinates: the state
@@ -499,15 +502,14 @@ class BlockEngine:
         keep = balanced(currents)
         drop(~keep, "unbalanced", lambda k: _UNBALANCED.format(abs(currents[k].sum())))
 
-        survivors = iter(np.flatnonzero(keep))  # the points still alive, in order: those with no error
+        def rows(column: np.ndarray) -> np.ndarray:  # the survivors' values at their points, NaN at the failed ones
+            out = np.full((n, *column.shape[1:]), math.nan, dtype=column.dtype)
+            out[alive] = column[keep]
+            return out
 
-        def point(k: int) -> PointSolve:
-            if errors[k] is not None:
-                return PointSolve(gap=float(gaps[k]), error=errors[k])
-            i = next(survivors)
-            return PointSolve(x[i], float(residual[i]), HeatCurrents(*map(float, currents[i])), float(gaps[k]))
-
-        return [point(k) for k in range(n)]
+        if len(alive) < n:
+            x, residual, currents = map(rows, (x, residual, currents))
+        return SteadyStates(x, residual, currents, gaps, errors)
 
 
 def pinned_floors(system: np.ndarray, inverse: np.ndarray) -> np.ndarray:
@@ -560,29 +562,36 @@ def block_engine() -> BlockEngine:
     return BlockEngine()
 
 
-def steady_states(points: Sequence[SystemParams], threads: int = 1) -> list[PointSolve]:
+def steady_states(points: Sequence[SystemParams], threads: int = 1) -> SteadyStates:
     """Steady states of many points, solved in chunks of ``CHUNK`` by the block engine.
 
     The checks and bounds are ``steady_state``'s, the residual bound
-    ``RESIDUAL_TOL`` included. A point that fails a check gets a
-    ``PointSolve`` whose ``error`` names the check; the others are
+    ``RESIDUAL_TOL`` included. A point that fails a check gets an
+    ``errors`` entry that names the check and NaN rows; the others are
     unaffected. ``steady_state`` is the reference. With more than one
-    thread, a pool of that many maps the same chunks, and the results come
-    back in the order of ``points``, so they never depend on the thread count.
+    thread, a pool of that many maps the same chunks, which are joined in
+    the order of ``points``, so the rows never depend on the thread count.
+    No points give no rows.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
     engine = block_engine()  # built before the pool starts, so that the workers share one
 
-    def solve(start: int) -> list[PointSolve]:
-        coef = np.array([generator_coefficients(p) for p in points[start: start + CHUNK]])
+    def solve(start: int) -> SteadyStates:
+        chunk = points[start: start + CHUNK]
+        coef = np.array([generator_coefficients(p) for p in chunk]).reshape(len(chunk), len(engine.null_terms))
         return engine.solve_blocks(*engine.assemble(coef), coef)
 
-    starts = range(0, len(points), CHUNK)
+    starts = range(0, max(len(points), 1), CHUNK)  # no points are one empty chunk
     if threads == 1:
-        return [solved for chunk in map(solve, starts) for solved in chunk]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return [solved for chunk in pool.map(solve, starts) for solved in chunk]
+        chunks = list(map(solve, starts))
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            chunks = list(pool.map(solve, starts))
+    if len(chunks) == 1:
+        return chunks[0]
+    columns = (np.concatenate([getattr(c, name) for c in chunks]) for name in ("x", "residual", "currents", "gap"))
+    return SteadyStates(*columns, [error for c in chunks for error in c.errors])
 
 
 class StateSupport:

@@ -12,7 +12,7 @@ import math
 from pathlib import Path
 
 from .config import SweepSpec
-from .sweep import STATUS_OK, SweepRow, row_value
+from .sweep import SweepTable
 
 WIDTH, HEIGHT = 720, 540
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 90, 30, 40, 70
@@ -98,12 +98,12 @@ def plot_style(spec: SweepSpec) -> str:
     return "lines"
 
 
-def emit_plot(rows: list[SweepRow], spec: SweepSpec, path: str | Path) -> None:
+def emit_plot(table: SweepTable, spec: SweepSpec, path: str | Path) -> None:
     """Write the sweep as a standalone SVG file."""
-    if not rows:
+    if not table.reasons:
         raise ValueError("emit_plot: no rows to draw")
     style = plot_style(spec)
-    parts = _plot_heatmap(rows, spec) if style == "heatmap" else _plot_lines(rows, spec)
+    parts = _plot_heatmap(table, spec) if style == "heatmap" else _plot_lines(table, spec)
     parts.append("</svg>")
     try:
         Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
@@ -111,28 +111,27 @@ def emit_plot(rows: list[SweepRow], spec: SweepSpec, path: str | Path) -> None:
         raise OSError(f"cannot write SVG to {path}: {exc}") from exc
 
 
-def _plot_lines(rows: list[SweepRow], spec: SweepSpec) -> list[str]:
+def _plot_lines(table: SweepTable, spec: SweepSpec) -> list[str]:
     x_col = spec.plot_x or spec.axis1.field_name
     y_col = spec.plot_y
     n1 = spec.axis1.count
-    curves = [rows[i : i + n1] for i in range(0, len(rows), n1)]
-    xs = _span([row_value(r, x_col) for r in rows])
-    ys = _span([row_value(r, y_col) for r in rows if r.status == STATUS_OK])
+    rows = list(zip(table.columns[x_col].tolist(), table.columns[y_col].tolist(), table.reasons))
+    xs = _span([xv for xv, _, _ in rows])
+    ys = _span([yv for _, yv, reason in rows if not reason])
     parts = _header(f"{y_col} vs {x_col}")
     parts += _frame_and_labels(x_col, y_col, xs, ys)
-    for k, curve in enumerate(curves):
+    for k, start in enumerate(range(0, len(rows), n1)):
         color = LINE_COLORS[k % len(LINE_COLORS)]
         pts = []
-        for r in curve:
-            xv, yv = row_value(r, x_col), row_value(r, y_col)
-            if r.status != STATUS_OK or not (math.isfinite(xv) and math.isfinite(yv)):
+        for xv, yv, reason in rows[start: start + n1]:
+            if reason or not (math.isfinite(xv) and math.isfinite(yv)):
                 continue
             px = _to_px(xv, xs, MARGIN_L, WIDTH - MARGIN_R)
             py = _to_px(yv, ys, HEIGHT - MARGIN_B, MARGIN_T)
             pts.append(f"{px:.2f},{py:.2f}")
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{" ".join(pts)}"/>')
         if spec.axis2 is not None:
-            label = f"{spec.axis2.field_name}={row_value(curve[0], spec.axis2.field_name):.4g}"
+            label = f"{spec.axis2.field_name}={float(table.columns[spec.axis2.field_name][start]):.4g}"
             parts.append(
                 f'<text x="{WIDTH - MARGIN_R - 8}" y="{MARGIN_T + 16 + 15 * k}" text-anchor="end" '
                 f'font-family="sans-serif" font-size="11" fill="{color}">{label}</text>'
@@ -140,10 +139,10 @@ def _plot_lines(rows: list[SweepRow], spec: SweepSpec) -> list[str]:
     return parts
 
 
-def _plot_heatmap(rows: list[SweepRow], spec: SweepSpec) -> list[str]:
+def _plot_heatmap(table: SweepTable, spec: SweepSpec) -> list[str]:
     y_col = spec.plot_y
     n1, n2 = spec.axis1.count, spec.axis2.count
-    values = [row_value(r, y_col) if r.status == STATUS_OK else float("nan") for r in rows]
+    values = [math.nan if reason else v for v, reason in zip(table.columns[y_col].tolist(), table.reasons)]
     lo, hi = _span(values)
     parts = _header(f"{y_col} over {spec.axis1.field_name} x {spec.axis2.field_name} "
                     f"(range {lo:.4g} to {hi:.4g})")

@@ -3,9 +3,10 @@
 The whole grid, in grid order (axis2-major, axis1 fastest), is one call
 of the block engine ``steady_states``, which cuts it into fixed chunks and
 maps them over its thread pool; the rows never depend on the thread count.
-Derived columns are evaluated on the whole grid before any solve. Failed
-solves are kept as rows with status 'solver_failed' and the name of the
-check that failed, never dropped.
+Derived columns are evaluated on the whole grid before any solve. A sweep's
+result is one ``SweepTable`` of columns. Failed solves are kept as rows with
+the name of the check that failed, and status 'solver_failed' in the CSV,
+never dropped.
 """
 
 from __future__ import annotations
@@ -15,9 +16,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .config import DERIVED_NAMES, PARAM_FIELDS, RESULT_COLUMNS, ConfigError, SweepSpec, csv_columns
+import numpy as np
+
+from .config import DERIVED_NAMES, PARAM_FIELDS, ConfigError, SweepSpec, csv_columns
 from .model import SystemParams
-from .solvers import PointSolve, steady_states
+from .solvers import steady_states
 
 # The per-point path is no longer called here. perfbench's tracer wraps these
 # names on this module, and its tests require each of them to exist.
@@ -29,16 +32,16 @@ STATUS_OK = "ok"
 STATUS_FAILED = "solver_failed"
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    params: SystemParams
-    j_l: float
-    j_m: float
-    j_r: float
-    residual: float
-    derived: dict[str, float]
-    status: str
-    reason: str = ""  # the failed check (SteadyStateError.reason); not a CSV column
+@dataclass(frozen=True, eq=False)
+class SweepTable:
+    """A sweep's rows as columns: every float column of ``csv_columns(spec)`` by name, in that order.
+
+    ``reasons[k]`` is the check row k failed (``SteadyStateError.reason``),
+    or "" when it solved; the CSV's status column is derived from it.
+    """
+
+    columns: dict[str, np.ndarray]
+    reasons: list[str]
 
 
 def grid_points(spec: SweepSpec) -> list[SystemParams]:
@@ -64,22 +67,16 @@ def grid_points(spec: SweepSpec) -> list[SystemParams]:
     return points
 
 
-def _row(params: SystemParams, derived: dict[str, float], solved: PointSolve) -> SweepRow:
-    if solved.error is not None:
-        nan = float("nan")
-        return SweepRow(params, nan, nan, nan, nan, derived, STATUS_FAILED, solved.error.reason)
-    cur = solved.currents
-    return SweepRow(params, cur.j_l, cur.j_m, cur.j_r, solved.residual, derived, STATUS_OK)
-
-
-def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
+def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepTable:
     """Evaluate the whole grid; output order is independent of thread count."""
     points = grid_points(spec)
-    derived = []
-    for p in points:
-        env = {name: getattr(p, name) for name in DERIVED_NAMES}
-        derived.append({c.name: c.fn(env) for c in spec.derived})
-    return list(map(_row, points, derived, steady_states(points, threads)))
+    params = np.array([[getattr(p, name) for name in PARAM_FIELDS] for p in points], dtype=float).T
+    envs = [{name: getattr(p, name) for name in DERIVED_NAMES} for p in points]
+    derived = np.array([[c.fn(env) for c in spec.derived] for env in envs], dtype=float).T
+    solved = steady_states(points, threads)
+    columns = [*params, *solved.currents.T, solved.residual, *derived]  # csv_columns' order, status aside
+    return SweepTable(dict(zip(csv_columns(spec), columns)),
+                      [error.reason if error is not None else "" for error in solved.errors])
 
 
 def write_csv(path: str | Path, header: Sequence[str], records: Iterable[Sequence[float | str]]) -> None:
@@ -93,23 +90,9 @@ def write_csv(path: str | Path, header: Sequence[str], records: Iterable[Sequenc
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 
 
-def emit_csv(rows: list[SweepRow], spec: SweepSpec, path: str | Path) -> None:
-    """The rows under ``csv_columns(spec)``, by ``write_csv``."""
-    if not rows:
+def emit_csv(table: SweepTable, spec: SweepSpec, path: str | Path) -> None:
+    """The table under ``csv_columns(spec)``, by ``write_csv``."""
+    if not table.reasons:
         raise ValueError("emit_csv: no rows to write")
-    write_csv(path, csv_columns(spec), (
-        [*(getattr(row.params, f) for f in PARAM_FIELDS), *(getattr(row, c) for c in RESULT_COLUMNS),
-         *(row.derived[c.name] for c in spec.derived), row.status]
-        for row in rows
-    ))
-
-
-def row_value(row: SweepRow, column: str) -> float:
-    """Look up a plottable column (parameter, current, residual, or derived)."""
-    if column in PARAM_FIELDS:
-        return float(getattr(row.params, column))
-    if column in RESULT_COLUMNS:
-        return float(getattr(row, column))
-    if column in row.derived:
-        return row.derived[column]
-    raise KeyError(f"unknown column {column!r}")
+    status = [STATUS_FAILED if reason else STATUS_OK for reason in table.reasons]
+    write_csv(path, csv_columns(spec), zip(*(column.tolist() for column in table.columns.values()), status))

@@ -48,8 +48,8 @@ def figure_grids():
     for name in GRID_NAMES:
         spec = load_sweep(SCRIPTS / f"{name}.cfg")
         start = time.perf_counter()
-        rows = run_sweep(spec, threads=1)
-        grids[name] = (spec, rows, time.perf_counter() - start)
+        table = run_sweep(spec, threads=1)
+        grids[name] = (spec, table, time.perf_counter() - start)
     return grids
 
 
@@ -70,13 +70,13 @@ def test_02_energy_conservation_on_all_grids(figure_grids):
     total_time = 0.0
     points = 0
     for name in GRID_NAMES:
-        _, rows, elapsed = figure_grids[name]
+        _, table, elapsed = figure_grids[name]
         total_time += elapsed
-        points += len(rows)
-        for row in rows:
-            assert row.status == "ok"
-            bound = 1e-10 * max(1.0, max(abs(row.j_l), abs(row.j_m), abs(row.j_r)))
-            worst = max(worst, abs(row.j_l + row.j_m + row.j_r) / bound)
+        points += len(table.reasons)
+        assert table.reasons == [""] * len(table.reasons)  # every row solved: status ok
+        for j_l, j_m, j_r in zip(*(table.columns[c].tolist() for c in ("j_l", "j_m", "j_r"))):
+            bound = 1e-10 * max(1.0, max(abs(j_l), abs(j_m), abs(j_r)))
+            worst = max(worst, abs(j_l + j_m + j_r) / bound)
     ok = worst <= 1.0 and total_time < 60.0
     assert verdict(2, "current conservation on every grid point",
                    ok, f"{points} points, worst |sum|/bound {worst:.3f}, grids took {total_time:.1f}s")
@@ -97,18 +97,19 @@ def test_04_state_validity_everywhere(figure_grids):
     worst_dev = 0.0  # the sweep rows against the SVD oracle, in units of each grid's max|J|
     status_ok = True
     for name in GRID_NAMES:
-        spec, rows, _ = figure_grids[name]
-        scale = max(max(abs(r.j_l), abs(r.j_m), abs(r.j_r)) for r in rows)
-        for p, row in zip(grid_points(spec), rows):
+        spec, table, _ = figure_grids[name]
+        j_l, j_m, j_r = (table.columns[c].tolist() for c in ("j_l", "j_m", "j_r"))
+        scale = max(max(abs(a), abs(b), abs(c)) for a, b, c in zip(j_l, j_m, j_r))
+        for k, (p, reason) in enumerate(zip(grid_points(spec), table.reasons)):
             try:
                 result = solve(p)
             except SteadyStateError:
-                status_ok = status_ok and row.status == "solver_failed"
+                status_ok = status_ok and reason != ""  # status solver_failed
                 continue
-            status_ok = status_ok and row.status == "ok"
+            status_ok = status_ok and reason == ""  # status ok
             cur = result.currents
-            worst_dev = max(worst_dev, max(abs(row.j_l - cur.j_l), abs(row.j_m - cur.j_m),
-                                           abs(row.j_r - cur.j_r)) / scale)
+            worst_dev = max(worst_dev, max(abs(j_l[k] - cur.j_l), abs(j_m[k] - cur.j_m),
+                                           abs(j_r[k] - cur.j_r)) / scale)
             mat = result.state.mat
             worst_herm = max(worst_herm, float(np.max(np.abs(mat - mat.conj().T))))
             worst_trace = max(worst_trace, abs(np.trace(mat) - 1.0))
@@ -134,9 +135,9 @@ def test_05_superoperator_consistency():
 
 
 def test_06_transfer_curve_threshold_shape(figure_grids):
-    spec, rows, _ = figure_grids["transfer_curve"]
-    order = np.argsort([r.derived["dT_MR"] for r in rows])
-    j = np.array([rows[i].j_l for i in order])
+    spec, table, _ = figure_grids["transfer_curve"]
+    order = np.argsort(table.columns["dT_MR"])
+    j = table.columns["j_l"][order]
     m = float(np.max(np.abs(j)))
     below = np.abs(j) <= 0.05 * m
     lead = int(np.argmax(~below)) if not below.all() else len(j)
@@ -155,23 +156,23 @@ def test_06_transfer_curve_threshold_shape(figure_grids):
 
 
 def test_07_output_curves_saturate_and_order(figure_grids):
-    spec, rows, _ = figure_grids["output_curves"]
+    spec, table, _ = figure_grids["output_curves"]
     n1 = spec.axis1.count
-    curves = [rows[i: i + n1] for i in range(0, len(rows), n1)]
+    curves = [slice(i, i + n1) for i in range(0, len(table.reasons), n1)]
     assert len(curves) >= 3
     decile = max(1, (n1 - 1) // 10)
     saturation_ok = True
     details = []
     for curve in curves:
-        x = np.array([r.derived["dT_RL"] for r in curve])
-        j = np.array([r.j_l for r in curve])
+        x = table.columns["dT_RL"][curve]
+        j = table.columns["j_l"][curve]
         slopes = np.abs(np.diff(j) / np.diff(x))
         ratio = float(np.mean(slopes[-decile:]) / np.mean(slopes[:decile]))
         details.append(f"{ratio:.3f}")
         saturation_ok = saturation_ok and ratio <= 0.20
     ordering_ok = True
     for low, high in zip(curves, curves[1:]):  # axis2 (gate temperature) ascends
-        gap = np.array([r.j_l for r in high]) - np.array([r.j_l for r in low])
+        gap = table.columns["j_l"][high] - table.columns["j_l"][low]
         ordering_ok = ordering_ok and bool(np.all(gap >= -1e-9))
     ok = saturation_ok and ordering_ok
     assert verdict(7, "output curves saturate and order by gate value",
@@ -179,9 +180,10 @@ def test_07_output_curves_saturate_and_order(figure_grids):
 
 
 def test_08_coupling_map_negative_region_and_gate_sensitivity(figure_grids):
-    spec, rows, grid_time = figure_grids["coupling_gate_map"]
-    weak = [r for r in rows if 0.0 < r.params.g_mr <= 0.05]
-    positive = [(r.params.g_mr, r.params.t_m, r.j_l) for r in weak if not r.j_l < 0]
+    spec, table, grid_time = figure_grids["coupling_gate_map"]
+    rows = list(zip(*(table.columns[c].tolist() for c in ("g_mr", "t_m", "j_l"))))
+    weak = [row for row in rows if 0.0 < row[0] <= 0.05]
+    positive = [row for row in weak if not row[2] < 0]
     negative_ok = len(weak) > 0 and not positive
 
     # Gate sensitivity: variance of each current over the t_m axis at a strong
@@ -278,8 +280,8 @@ def test_11_figure_sweeps_reproduce_the_committed_results(figure_grids, tmp_path
     currents = ("j_l", "j_m", "j_r")
     deviation = {}
     for name in GRID_NAMES:
-        spec, rows, _ = figure_grids[name]
-        emit_csv(rows, spec, tmp_path / f"{name}.csv")
+        spec, table, _ = figure_grids[name]
+        emit_csv(table, spec, tmp_path / f"{name}.csv")
         ours, committed = (
             list(csv.DictReader(path.read_text(encoding="utf-8").splitlines()))
             for path in (tmp_path / f"{name}.csv", RESULTS / f"{name}.csv")

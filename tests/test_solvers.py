@@ -751,14 +751,14 @@ class TestBlockEngine:
         # as the benchmark bounds each grid's
         scale = max(max(abs(r.currents.j_l), abs(r.currents.j_m), abs(r.currents.j_r))
                     for r in oracle if not isinstance(r, SteadyStateError))
-        for p, ours, ref in zip(points, solved, oracle):
+        for k, (p, error, ref) in enumerate(zip(points, solved.errors, oracle)):
             if isinstance(ref, SteadyStateError):
-                assert ours.error is not None and ours.error.reason == ref.reason, p
+                assert error is not None and error.reason == ref.reason, p
                 continue
-            assert ours.error is None, (p, ours.error)
-            for key in ("j_l", "j_m", "j_r"):
-                assert abs(getattr(ours.currents, key) - getattr(ref.currents, key)) <= 1e-9 * scale, p
-            assert trace_distance(ours.rho, ref.state) <= 1e-10, p
+            assert error is None, (p, error)
+            for ours, key in zip(solved.currents[k], ("j_l", "j_m", "j_r")):
+                assert abs(ours - getattr(ref.currents, key)) <= 1e-9 * scale, p
+            assert trace_distance(solved.rho(k), ref.state) <= 1e-10, p
         assert sum(isinstance(r, SteadyStateError) for r in oracle) == 2
 
     def test_gap_is_a_lower_bound_on_the_full_second_singular_value(self):
@@ -772,9 +772,10 @@ class TestBlockEngine:
         for p in seeded_points(count=12) + slow:
             full = np.linalg.svd(build_superoperator(total_hamiltonian(p), bath_channels(p)).matrix,
                                  compute_uv=False)
-            (ours,) = steady_states([p])
-            assert ours.gap <= full[-2], p
-            assert (ours.error is not None and ours.error.reason == "non_unique") == (full[-2] < DEGENERACY_TOL), p
+            ours = steady_states([p])
+            (error,) = ours.errors
+            assert ours.gap[0] <= full[-2], p
+            assert (error is not None and error.reason == "non_unique") == (full[-2] < DEGENERACY_TOL), p
 
     def test_gap_gate_measures_every_block_that_could_break_uniqueness(self, monkeypatch):
         # detuned levels, g up to 0.3, T down to 5e-4 and kappa down to 1e-5,
@@ -803,11 +804,11 @@ class TestBlockEngine:
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         solved = steady_states(points)
         monkeypatch.undo()
-        for p, ours in zip(points, solved):
+        for p, gap, error in zip(points, solved.gap, solved.errors):
             full = np.linalg.svd(build_superoperator(total_hamiltonian(p), bath_channels(p)).matrix,
                                  compute_uv=False)
-            assert ours.gap <= full[-2], p
-            assert (ours.error is not None and ours.error.reason == "non_unique") == (full[-2] < DEGENERACY_TOL), p
+            assert gap <= full[-2], p
+            assert (error is not None and error.reason == "non_unique") == (full[-2] < DEGENERACY_TOL), p
         # both branches: some (point, block) pairs are measured and some ruled out
         assert 0 < sum(measured) < (len(engine.sizes) - 1) * len(points)
 
@@ -854,11 +855,11 @@ class TestBlockEngine:
         monkeypatch.undo()
         assert len(measured) == 1 and np.array_equal(measured[0], blocks[0][2:3])
         reference = steady_states(points)
-        assert [s.error for s in solved] == [None] * 5
-        assert solved[2].gap <= sigma
+        assert solved.errors == [None] * 5
+        assert solved.gap[2] <= sigma
         for k in (0, 1, 3, 4):
-            assert solved[k].currents == reference[k].currents
-            assert solved[k].gap == reference[k].gap
+            assert np.array_equal(solved.currents[k], reference.currents[k])
+            assert solved.gap[k] == reference.gap[k]
 
     def test_shipped_grids_make_no_svd_call(self, monkeypatch):
         # every null block's pinned floor and every coherence block's floor clear the bound
@@ -872,7 +873,7 @@ class TestBlockEngine:
         solved = steady_states(points)
         assert calls == []
         assert inverses and set(inverses) == {np.dtype(float)}  # the null blocks are real
-        assert all(s.error is None for s in solved)
+        assert solved.errors == [None] * 1160
 
     def test_coupling_map_factors_some_states(self, monkeypatch):
         # the transfer and output curves' states are all cleared by their discs; the
@@ -885,7 +886,7 @@ class TestBlockEngine:
         for name in ("transfer_curve", "output_curves", "coupling_gate_map"):
             factored.clear()
             points = grid_points(load_sweep(SCRIPTS / f"{name}.cfg"))
-            assert all(s.error is None for s in steady_states(points))
+            assert steady_states(points).errors == [None] * len(points)
             counts[name] = sum(factored)
         assert counts["transfer_curve"] == counts["output_curves"] == 0
         assert 0 < counts["coupling_gate_map"] < 900
@@ -901,16 +902,16 @@ class TestBlockEngine:
                             lambda a, *args, **kwargs: calls.append(a.shape) or eigvalsh(a, *args, **kwargs))
         solved = steady_states(points)
         assert calls == []
-        assert all(s.error is None for s in solved)
+        assert solved.errors == [None] * 1160
 
     def test_refused_pivots_fail_every_point_naming_the_eigenvalue_check(self, monkeypatch):
         # the message names the bound the state check broke, even where the measured eigenvalue clears it
         monkeypatch.setattr(StateSupport, "bounded_below", lambda self, x, floor: np.zeros(len(x), dtype=bool))
         solved = steady_states(seeded_points(count=20))
-        assert [s.error.reason for s in solved] == ["invalid_state"] * 20
-        for s in solved:
+        assert [e.reason for e in solved.errors] == ["invalid_state"] * 20
+        for error in solved.errors:
             assert re.fullmatch(r"steady state violates state invariants: "
-                                r"density matrix has negative eigenvalue -?\d\.\d{3}e[-+]\d+", str(s.error))
+                                r"density matrix has negative eigenvalue -?\d\.\d{3}e[-+]\d+", str(error))
 
     def test_wide_points_measure_some_coherence_blocks_and_no_null_block(self, monkeypatch):
         engine = block_engine()
@@ -925,7 +926,7 @@ class TestBlockEngine:
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         solved = steady_states(points)
         monkeypatch.undo()
-        assert all(s.error is None for s in solved)
+        assert solved.errors == [None] * len(points)
         assert measured["null"] == 0
         assert 0 < measured["coherence"] < (len(engine.sizes) - 1) * len(points)
 
@@ -998,10 +999,10 @@ class TestBlockEngine:
             s = np.linalg.svd(block[2], compute_uv=False)
             block[2] *= 0.5 * DEGENERACY_TOL / s[-2 if b == 0 else -1]
             solved = engine.solve_blocks(null, coherence, coef)
-            assert solved[2].error is not None and solved[2].error.reason == "non_unique", b
+            assert solved.errors[2] is not None and solved.errors[2].reason == "non_unique", b
             for k in (0, 1, 3, 4):
-                assert solved[k].error is None, b
-                assert solved[k].currents == reference[k].currents, b
+                assert solved.errors[k] is None, b
+                assert np.array_equal(solved.currents[k], reference.currents[k]), b
 
     def test_split_populations_fail_at_build(self, monkeypatch):
         # without jumps only the two exchange terms link populations: the
@@ -1019,19 +1020,19 @@ class TestBlockEngine:
     def test_unreachable_tolerance_fails_every_point_with_residual(self, monkeypatch):
         monkeypatch.setattr(solvers, "RESIDUAL_TOL", 1e-40)
         solved = steady_states(seeded_points(count=4))
-        assert [s.error.reason for s in solved] == ["residual"] * 4
-        assert isinstance(solved[0].error, SteadyStateError)
-        assert re.search(r"residual .* > 1\.0e-40$", str(solved[0].error))
+        assert [e.reason for e in solved.errors] == ["residual"] * 4
+        assert isinstance(solved.errors[0], SteadyStateError)
+        assert re.search(r"residual .* > 1\.0e-40$", str(solved.errors[0]))
 
     def test_unreachable_balance_fails_every_point_as_unbalanced(self, monkeypatch):
         # the engine and the oracle decide conservation by one function, which reads the bound at call time
         monkeypatch.setattr(solvers, "BALANCE_TOL", 1e-40)
         points = seeded_points(count=4)
         solved = steady_states(points)
-        assert [s.error.reason for s in solved] == ["unbalanced"] * 4
+        assert [e.reason for e in solved.errors] == ["unbalanced"] * 4
         unbalanced = r"^steady-state currents do not balance: sum \d\.\d{3}e[-+]\d+$"
-        assert isinstance(solved[0].error, SteadyStateError)
-        assert re.search(unbalanced, str(solved[0].error))
+        assert isinstance(solved.errors[0], SteadyStateError)
+        assert re.search(unbalanced, str(solved.errors[0]))
         for p in points:
             with pytest.raises(SteadyStateError, match=unbalanced) as exc:
                 solve(p)
@@ -1073,22 +1074,22 @@ class TestBlockEngine:
             null[2] = np.eye(len(y)) - np.outer(y, y) / (y @ y)
         solved = engine.solve_blocks(null, coherence, coef)
         reference = steady_states(points)
-        assert solved[2].error is not None and solved[2].error.reason == reason
+        assert solved.errors[2] is not None and solved.errors[2].reason == reason
         if inject == "indefinite":
-            assert str(solved[2].error) == ("steady state violates state invariants: "
-                                            "density matrix has negative eigenvalue -2.000e-01")
+            assert str(solved.errors[2]) == ("steady state violates state invariants: "
+                                             "density matrix has negative eigenvalue -2.000e-01")
         if inject == "traceless":
-            assert str(solved[2].error) == "no steady state at tolerance: null vector has near-zero trace"
+            assert str(solved.errors[2]) == "no steady state at tolerance: null vector has near-zero trace"
         for k in (0, 1, 3, 4):
-            assert solved[k].error is None
-            assert solved[k].currents == reference[k].currents
+            assert solved.errors[k] is None
+            assert np.array_equal(solved.currents[k], reference.currents[k])
 
     def test_infinite_rate_fails_alone(self):
         points = seeded_points(count=3)
         # SystemParams rejects non-finite fields, so set one past its validation
         object.__setattr__(points[1], "kappa_l", math.inf)
         solved = steady_states(points)
-        assert [s.error.reason if s.error else "ok" for s in solved] == ["ok", "non_finite", "ok"]
+        assert [e.reason if e else "ok" for e in solved.errors] == ["ok", "non_finite", "ok"]
 
     def test_threads_match_one_thread_over_three_chunks(self):
         # two full chunks and 8 points; the point with every rate below the
@@ -1096,11 +1097,20 @@ class TestBlockEngine:
         points = seeded_points(count=2 * solvers.CHUNK + 8)
         points[solvers.CHUNK + 4] = dataclasses.replace(TRANSFER_PARAMS, kappa_l=1e-12, kappa_m=1e-12, kappa_r=1e-12)
         serial, threaded = steady_states(points, threads=1), steady_states(points, threads=3)
-        assert [s.error.reason if s.error else "ok" for s in serial].count("non_unique") == 1
-        assert serial[solvers.CHUNK + 4].error is not None
-        assert repr(threaded) == repr(serial)
-        for a, b in zip(serial, threaded):
-            assert (a.rho is None and b.rho is None) or a.rho.tobytes() == b.rho.tobytes()
+        assert [e.reason if e else "ok" for e in serial.errors].count("non_unique") == 1
+        assert serial.errors[solvers.CHUNK + 4] is not None
+        for name in ("x", "residual", "currents", "gap"):
+            ours, theirs = getattr(threaded, name), getattr(serial, name)
+            assert len(theirs) == len(points) and ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
+        assert ([(e.reason, str(e)) if e else None for e in threaded.errors]
+                == [(e.reason, str(e)) if e else None for e in serial.errors])
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_no_points_give_no_rows(self, threads):
+        solved = steady_states([], threads=threads)
+        assert solved.x.shape == (0, 26) and solved.x.dtype == complex
+        assert solved.currents.shape == (0, 3) and solved.residual.shape == solved.gap.shape == (0,)
+        assert solved.errors == []
 
     def test_threads_below_one_are_rejected_before_any_solve(self, monkeypatch):
         monkeypatch.setattr(solvers, "block_engine", lambda: pytest.fail("solved with no threads"))
@@ -1108,9 +1118,9 @@ class TestBlockEngine:
             steady_states([TRANSFER_PARAMS], threads=0)
 
     def test_batch_of_one_result_is_a_density_matrix(self):
-        (solved,) = steady_states([TRANSFER_PARAMS])
-        assert solved.error is None and solved.currents is not None
-        state = DensityMatrix(solved.rho)
+        solved = steady_states([TRANSFER_PARAMS])
+        assert solved.errors == [None] and np.isfinite(solved.currents).all()
+        state = DensityMatrix(solved.rho(0))
         assert trace_distance(state, solve(TRANSFER_PARAMS).state) <= 1e-10
 
 
@@ -1187,15 +1197,15 @@ class TestCurrentTable:
 
     def test_non_hermitian_state_reads_as_its_hermitian_part(self, rng):
         engine = block_engine()
-        (solved,) = steady_states([TRANSFER_PARAMS])
+        solved = steady_states([TRANSFER_PARAMS])
         coef = np.array([generator_coefficients(TRANSFER_PARAMS)])
         # an anti-Hermitian part on the null block's support, whose largest entry is 1e-3
         skew = engine.layout.matrices(rng.normal(size=26) + 1j * rng.normal(size=26))
         skew = vec(skew - skew.conj().T)[engine.layout.index]
-        x = np.array([solved.x, solved.x + 1e-3 * skew / np.max(np.abs(skew))])
+        x = np.array([solved.x[0], solved.x[0] + 1e-3 * skew / np.max(np.abs(skew))])
         currents = engine.heat_currents(coef, x)
         assert currents.dtype == float and currents.shape == (2, 3)
-        assert np.array_equal(currents[0], [solved.currents.j_l, solved.currents.j_m, solved.currents.j_r])
+        assert np.array_equal(currents[0], solved.currents[0])
         assert np.max(np.abs(currents[1] - currents[0])) <= 1e-15 * np.max(np.abs(currents[0]))
 
 
@@ -1213,11 +1223,11 @@ class TestUnitScale:
         points = [load_params(SCRIPTS / f"{name}.cfg") for name in ("transfer_curve", "output_curves",
                                                                      "coupling_gate_map")] + [DEFAULT_PARAMS]
         scaled = [SystemParams(*(scale * v for v in dataclasses.astuple(p))) for p in points]
-        for p, unit, solved in zip(scaled, steady_states(points), steady_states(scaled)):
-            if solved.error is not None:
-                raise solved.error
-            ours = np.array(dataclasses.astuple(solved.currents))
-            expected = scale**2 * np.array(dataclasses.astuple(unit.currents))
+        unit, solved = steady_states(points), steady_states(scaled)
+        for k, p in enumerate(scaled):
+            if solved.errors[k] is not None:
+                raise solved.errors[k]
+            ours, expected = solved.currents[k], scale**2 * unit.currents[k]
             assert np.max(np.abs(ours - expected)) <= 1e-13 * np.max(np.abs(ours)), p
 
 

@@ -10,14 +10,13 @@ from triheat import solvers
 from triheat import ConfigError, SweepAxis, SweepSpec, load_params, load_sweep, steady_states
 from triheat.sweep import (
     PARAM_FIELDS,
-    RESULT_COLUMNS,
-    SweepRow,
+    SweepTable,
     csv_columns,
     emit_csv,
     grid_points,
-    row_value,
     run_sweep,
 )
+from triheat.config import RESULT_COLUMNS
 from triheat.svgplot import _span, emit_plot, plot_style
 from triheat.cli import cli_main
 from triheat.config import compile_derived
@@ -296,48 +295,46 @@ class TestGrid:
 class TestRunSweep:
     def test_identical_points_identical_rows(self):
         # the engine's batch of one, solved twice
-        (row_a,) = steady_states([TRANSFER_PARAMS])
-        (row_b,) = steady_states([TRANSFER_PARAMS])
-        assert row_a.currents.j_l == row_b.currents.j_l
-        assert row_a.currents.j_m == row_b.currents.j_m
-        assert row_a.currents.j_r == row_b.currents.j_r
-        assert row_a.residual == row_b.residual
+        row_a = steady_states([TRANSFER_PARAMS])
+        row_b = steady_states([TRANSFER_PARAMS])
+        assert row_a.currents.shape == (1, 3)
+        assert np.array_equal(row_a.currents, row_b.currents)
+        assert np.array_equal(row_a.residual, row_b.residual)
 
     def test_thread_count_does_not_change_results(self, sweep_cfg):
         spec = load_sweep(sweep_cfg)
         serial = run_sweep(spec, threads=1)
         threaded = run_sweep(spec, threads=4)
-        assert len(serial) == len(threaded) == 12
-        for a, b in zip(serial, threaded):
-            assert a.j_l == b.j_l and a.j_m == b.j_m and a.j_r == b.j_r
-            assert a.derived == b.derived and a.status == b.status
+        assert len(serial.reasons) == len(threaded.reasons) == 12
+        assert list(serial.columns) == list(threaded.columns)
+        for name in ("j_l", "j_m", "j_r", "dT_MR", "dT_RL"):
+            assert np.array_equal(serial.columns[name], threaded.columns[name])
+        assert serial.reasons == threaded.reasons
 
     def test_failed_points_flagged_not_dropped(self, sweep_cfg, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(solvers, "RESIDUAL_TOL", 1e-18)  # unreachable bound
         spec = load_sweep(sweep_cfg)
-        rows = run_sweep(spec)
-        assert len(rows) == 12
-        assert all(r.status == "solver_failed" for r in rows)
-        assert all(r.reason == "residual" for r in rows)
-        assert all(math.isnan(r.j_l) for r in rows)
+        table = run_sweep(spec)
+        assert table.reasons == ["residual"] * 12  # each a failed row, status solver_failed
+        assert np.isnan(table.columns["j_l"]).all() and len(table.columns["j_l"]) == 12
         out = tmp_path / "failed.csv"
         assert cli_main(["sweep", "--config", str(sweep_cfg), "--out", str(out)]) == 0
         assert "(12 failed points: residual 12)" in capsys.readouterr().out
 
     def test_derived_columns_evaluated(self, sweep_cfg):
         spec = load_sweep(sweep_cfg)
-        rows = run_sweep(spec)
-        for r in rows:
-            assert r.derived["dT_MR"] == pytest.approx(r.params.t_m - r.params.t_r)
-            assert r.derived["dT_RL"] == pytest.approx(r.params.t_r - r.params.t_l)
+        columns = run_sweep(spec).columns
+        for dt_mr, dt_rl, t_l, t_m, t_r in zip(*(columns[c] for c in ("dT_MR", "dT_RL", "t_l", "t_m", "t_r"))):
+            assert dt_mr == pytest.approx(t_m - t_r)
+            assert dt_rl == pytest.approx(t_r - t_l)
 
 
 class TestEmitCsv:
     def test_file_shape_and_columns(self, sweep_cfg, tmp_path):
         spec = load_sweep(sweep_cfg)
-        rows = run_sweep(spec)[:2]
+        table = run_sweep(spec)
         out = tmp_path / "out.csv"
-        emit_csv(rows, spec, out)
+        emit_csv(SweepTable({name: column[:2] for name, column in table.columns.items()}, table.reasons[:2]), spec, out)
         lines = out.read_text(encoding="utf-8").split("\n")
         assert len(lines) == 4 and lines[-1] == ""  # header + 2 rows + trailing LF
         header = lines[0].split(",")
@@ -346,37 +343,45 @@ class TestEmitCsv:
         assert header[-3:-1] == ["dT_MR", "dT_RL"]
 
     def test_result_columns_are_the_bath_currents_and_residual(self, sweep_cfg):
-        # one table feeds the header, the written values and row_value, in SweepRow's field order
+        # one list of names feeds the header, the written values and the plot's columns, in that order
         spec = load_sweep(sweep_cfg)
         assert RESULT_COLUMNS == ("j_l", "j_m", "j_r", "residual")
-        assert [f.name for f in dataclasses.fields(SweepRow)][1:5] == list(RESULT_COLUMNS)
         assert csv_columns(spec)[len(PARAM_FIELDS): len(PARAM_FIELDS) + 4] == list(RESULT_COLUMNS)
-        row = run_sweep(spec)[0]
-        assert [row_value(row, c) for c in RESULT_COLUMNS] == [row.j_l, row.j_m, row.j_r, row.residual]
+        table = run_sweep(spec)
+        assert list(table.columns) == csv_columns(spec)[:-1]
+        assert all(column.dtype == float and column.shape == (12,) for column in table.columns.values())
 
     def test_round_trip_bit_exact(self, sweep_cfg, tmp_path):
         spec = load_sweep(sweep_cfg)
-        rows = run_sweep(spec)
+        table = run_sweep(spec)
         out = tmp_path / "out.csv"
-        emit_csv(rows, spec, out)
+        emit_csv(table, spec, out)
         lines = out.read_text(encoding="utf-8").strip().split("\n")
         header = lines[0].split(",")
-        j_l_idx = header.index("j_l")
-        for row, line in zip(rows, lines[1:]):
-            assert float(line.split(",")[j_l_idx]) == row.j_l
+        assert header[:-1] == list(table.columns)
+        for k, line in enumerate(lines[1:]):
+            values = line.split(",")
+            assert values[-1] == "ok"
+            for name, value in zip(header[:-1], values):  # every float column, the parameters and derived ones too
+                assert float(value) == table.columns[name][k]
 
     def test_reemission_identical(self, sweep_cfg, tmp_path):
         spec = load_sweep(sweep_cfg)
-        rows = run_sweep(spec)
+        table = run_sweep(spec)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_csv(rows, spec, a)
-        emit_csv(rows, spec, b)
+        emit_csv(table, spec, a)
+        emit_csv(table, spec, b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_empty_rows_rejected(self, sweep_cfg, tmp_path):
+        # a table of no rows, which neither writer accepts
         spec = load_sweep(sweep_cfg)
-        with pytest.raises(ValueError):
-            emit_csv([], spec, tmp_path / "out.csv")
+        empty = SweepTable({name: np.empty(0) for name in csv_columns(spec)[:-1]}, [])
+        with pytest.raises(ValueError, match="^emit_csv: no rows to write$"):
+            emit_csv(empty, spec, tmp_path / "out.csv")
+        with pytest.raises(ValueError, match="^emit_plot: no rows to draw$"):
+            emit_plot(empty, spec, tmp_path / "out.svg")
+        assert not (tmp_path / "out.csv").exists() and not (tmp_path / "out.svg").exists()
 
 
 def synthetic_spec(n1, n2=None, derived=()):
@@ -389,54 +394,49 @@ def synthetic_spec(n1, n2=None, derived=()):
     )
 
 
-def synthetic_rows(spec, values):
-    rows = []
-    axis1 = spec.axis1.values()
-    axis2 = spec.axis2.values() if spec.axis2 else [spec.base.t_m]
-    k = 0
-    for v2 in axis2:
-        for v1 in axis1:
-            p = dataclasses.replace(spec.base, t_r=float(v1), t_m=float(v2))
-            env = {"t_l": p.t_l, "t_m": p.t_m, "t_r": p.t_r}
-            status = "ok" if math.isfinite(values[k]) else "solver_failed"
-            rows.append(SweepRow(p, values[k], 0.0, 0.0, 1e-15,
-                                 {c.name: c.fn(env) for c in spec.derived}, status))
-            k += 1
-    return rows
+def synthetic_table(spec, values):
+    """A table over the spec's grid with j_l = values, whose non-finite values are failed rows."""
+    points = grid_points(spec)
+    columns = {name: np.array([getattr(p, name) for p in points]) for name in PARAM_FIELDS}
+    columns.update(j_l=np.array(values, dtype=float), j_m=np.zeros(len(points)), j_r=np.zeros(len(points)),
+                   residual=np.full(len(points), 1e-15))
+    for c in spec.derived:
+        columns[c.name] = np.array([c.fn({"t_l": p.t_l, "t_m": p.t_m, "t_r": p.t_r}) for p in points])
+    return SweepTable(columns, ["" if math.isfinite(v) else "residual" for v in values])
 
 
 class TestEmitPlot:
     def test_polyline_per_curve(self, tmp_path):
         spec = synthetic_spec(5, 3)
-        rows = synthetic_rows(spec, list(np.linspace(-1, 1, 15)))
+        table = synthetic_table(spec, list(np.linspace(-1, 1, 15)))
         out = tmp_path / "plot.svg"
-        emit_plot(rows, spec, out)
+        emit_plot(table, spec, out)
         text = out.read_text(encoding="utf-8")
         assert text.count("<polyline") == 3
         assert 'version="1.1"' in text
 
     def test_single_axis_single_polyline(self, tmp_path):
         spec = synthetic_spec(6)
-        rows = synthetic_rows(spec, list(np.linspace(0, 1, 6)))
+        table = synthetic_table(spec, list(np.linspace(0, 1, 6)))
         out = tmp_path / "plot.svg"
-        emit_plot(rows, spec, out)
+        emit_plot(table, spec, out)
         assert out.read_text(encoding="utf-8").count("<polyline") == 1
 
     def test_monotone_series_has_monotone_pixels(self, tmp_path):
         spec = synthetic_spec(6)
-        rows = synthetic_rows(spec, [0.0, 0.1, 0.25, 0.5, 0.7, 1.0])
+        table = synthetic_table(spec, [0.0, 0.1, 0.25, 0.5, 0.7, 1.0])
         out = tmp_path / "plot.svg"
-        emit_plot(rows, spec, out)
+        emit_plot(table, spec, out)
         match = re.search(r'<polyline[^>]*points="([^"]+)"', out.read_text(encoding="utf-8"))
         ys = [float(pt.split(",")[1]) for pt in match.group(1).split()]
         assert all(b < a for a, b in zip(ys, ys[1:]))  # pixel y falls as value rises
 
     def test_failed_point_left_out_of_its_polyline(self, tmp_path):
         spec = synthetic_spec(6)
-        rows = synthetic_rows(spec, [0.0, 0.1, 0.25, 0.5, 0.7, 1.0])
-        rows[2] = dataclasses.replace(rows[2], status="solver_failed")  # left out by its status, not its value
+        table = synthetic_table(spec, [0.0, 0.1, 0.25, 0.5, 0.7, 1.0])
+        table.reasons[2] = "residual"  # left out by its failure, not its value
         out = tmp_path / "plot.svg"
-        emit_plot(rows, spec, out)
+        emit_plot(table, spec, out)
         match = re.search(r'<polyline[^>]*points="([^"]+)"', out.read_text(encoding="utf-8"))
         assert len(match.group(1).split()) == 5
 
@@ -451,18 +451,18 @@ class TestEmitPlot:
 
     def test_heatmap_cell_count(self, tmp_path):
         spec = dataclasses.replace(synthetic_spec(4, 12))
-        rows = synthetic_rows(spec, list(np.linspace(-1, 1, 48)))
+        table = synthetic_table(spec, list(np.linspace(-1, 1, 48)))
         out = tmp_path / "map.svg"
-        emit_plot(rows, spec, out)
+        emit_plot(table, spec, out)
         assert out.read_text(encoding="utf-8").count('class="cell"') == 48
 
     def test_failed_point_gets_nan_cell(self, tmp_path):
         spec = dataclasses.replace(synthetic_spec(4, 12))
         values = list(np.linspace(-1, 1, 48))
         values[5] = float("nan")
-        rows = synthetic_rows(spec, values)
+        table = synthetic_table(spec, values)
         out = tmp_path / "map.svg"
-        emit_plot(rows, spec, out)
+        emit_plot(table, spec, out)
         assert out.read_text(encoding="utf-8").count("#cccccc") == 1
 
     def test_style_selection(self):
