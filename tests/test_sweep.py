@@ -315,11 +315,17 @@ class TestRunSweep:
         monkeypatch.setattr(solvers, "RESIDUAL_TOL", 1e-18)  # unreachable bound
         spec = load_sweep(sweep_cfg)
         table = run_sweep(spec)
-        assert table.reasons == ["residual"] * 12  # each a failed row, status solver_failed
+        assert table.reasons == ["residual"] * 12
         assert np.isnan(table.columns["j_l"]).all() and len(table.columns["j_l"]) == 12
         out = tmp_path / "failed.csv"
         assert cli_main(["sweep", "--config", str(sweep_cfg), "--out", str(out)]) == 0
         assert "(12 failed points: residual 12)" in capsys.readouterr().out
+        lines = out.read_text(encoding="utf-8").split("\n")
+        assert len(lines) == 14 and lines[-1] == ""  # header + 12 rows + trailing LF
+        header = lines[0].split(",")
+        records = [dict(zip(header, line.split(","))) for line in lines[1:-1]]
+        assert all(r["status"] == "solver_failed" for r in records)
+        assert all(r["j_l"] == "nan" for r in records)
 
     def test_derived_columns_evaluated(self, sweep_cfg):
         spec = load_sweep(sweep_cfg)
