@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 config or solver error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import sys
 from collections import Counter
@@ -23,7 +22,7 @@ import numpy as np
 
 from .config import ConfigError, load_params, load_sweep
 from .lindblad import rhs_apply, unvec, vec
-from .model import BATHS, SystemParams, gibbs_state
+from .model import BATHS, PARAM_FIELDS, SystemParams, gibbs_state
 from .observables import reduced_populations
 from .solvers import (
     EIG_FLOOR,
@@ -86,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_steady(args: argparse.Namespace) -> int:
     params = load_params(args.config)
-    solved = steady_states([params])
+    solved = steady_states(np.array([[getattr(params, name) for name in PARAM_FIELDS]]))
     if solved.errors[0] is not None:
         raise solved.errors[0]
     for name, current in zip(("J_L", "J_M", "J_R"), solved.currents[0].tolist()):
@@ -130,7 +129,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     # every sample's currents at once, by the engine's formula, in real arithmetic on the null block's entries
     engine = block_engine()
     x = np.array([vec(state.mat)[engine.layout.index] for state in states])
-    currents = engine.heat_currents(np.array([generator_coefficients(params)]), x)
+    currents = engine.heat_currents(generator_coefficients(np.array([[getattr(params, name) for name in PARAM_FIELDS]])), x)
     write_csv(args.out, ("t", *BATHS), ((t, *cur) for t, cur in zip(times, currents)))
     print(f"wrote {len(times)} samples to {args.out}")
     return 0
@@ -147,8 +146,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     liou = chain_liouvillian(params)
     h, channels = liou.hamiltonian, liou.channels
-    free = dataclasses.replace(params, g_lm=0.0, g_mr=0.0)
-    solved = steady_states([params, free])
+    rows = np.array([[getattr(params, name) for name in PARAM_FIELDS]] * 2)
+    rows[1, [PARAM_FIELDS.index("g_lm"), PARAM_FIELDS.index("g_mr")]] = 0.0  # the uncoupled twin
+    solved = steady_states(rows)
     error, free_error = solved.errors
     if error is not None:
         raise error
@@ -174,8 +174,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         report("uncoupled thermalization", False, str(free_error))
     else:
         expected = np.kron(
-            gibbs_state([0.0, free.e1], free.t_l),
-            np.kron(gibbs_state([0.0, free.e2, free.e3], free.t_m), gibbs_state([0.0, free.e4], free.t_r)),
+            gibbs_state([0.0, params.e1], params.t_l),
+            np.kron(gibbs_state([0.0, params.e2, params.e3], params.t_m), gibbs_state([0.0, params.e4], params.t_r)),
         )
         dist = trace_distance(solved.rho(1), expected)
         report("uncoupled thermalization", dist <= 1e-10, f"trace distance {dist:.3e}")
@@ -185,7 +185,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     # The slowest mode decays by e^-18 over the horizon, and |h*lambda| <= 1.5 is inside RK4's stability region.
     # The null block is in the Hermitian basis, a similarity transform that keeps its eigenvalues.
     engine = block_engine()
-    null, coherence = engine.assemble(np.array([generator_coefficients(params)]))
+    null, coherence = engine.assemble(generator_coefficients(rows[:1]))
     ev = np.concatenate([np.linalg.eigvals(b[0]) for b in [null, *engine.coherence_blocks(coherence)]])
     gap = -np.max(np.delete(ev.real, np.argmin(np.abs(ev))))
     t_final = float(18.0 / gap)

@@ -29,13 +29,13 @@ from __future__ import annotations
 import ast
 import configparser
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .model import BATHS, SystemParams
+from .model import BATHS, PARAM_FIELDS, SystemParams
 
 _SECTIONS = {
     "energies": ("e1", "e2", "e3", "e4"),
@@ -48,7 +48,6 @@ _FIELD_SECTION = {name: sec for sec, names in _SECTIONS.items() for name in name
 DERIVED_NAMES = ("t_l", "t_m", "t_r")
 # The derived-column grammar: these nodes, the names in DERIVED_NAMES, and int or float constants.
 _DERIVED_NODES = (ast.Expression, ast.Load, ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.UnaryOp, ast.UAdd, ast.USub)
-PARAM_FIELDS = tuple(f.name for f in fields(SystemParams))
 # The solve's columns, written after the parameters: one current per bath, then the residual.
 RESULT_COLUMNS = (*BATHS, "residual")
 

@@ -20,9 +20,9 @@ one-interval ``evolve`` calls, and the matrix itself against ``rhs_apply``.
 
 ``steady_states`` is the batched engine that every steady state of the
 CLI comes from (``sweep``, ``steady`` and ``check``); the SVD
-``steady_state`` is its oracle in the tests. It returns one
-``SteadyStates`` record of arrays, one row per point, which the sweep and
-the CLI read by column. It uses two facts about the
+``steady_state`` is its oracle in the tests. It takes (n, 12) parameter
+rows and returns one ``SteadyStates`` record of arrays, one row per point,
+which the sweep and the CLI read by column. It uses two facts about the
 chain. The generator is affine in the parameters: L(p) = sum_c coef_c(p) *
 S_c over 14 fixed terms, the six Hamiltonian terms and kappa*(n+1), kappa*n
 for each of the four channels. And the terms share a sparse nonzero
@@ -65,7 +65,6 @@ import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -75,9 +74,11 @@ from .model import (
     CHANNEL_LABELS,
     DIM,
     HAMILTONIAN_FIELDS,
+    PARAM_FIELDS,
     SystemParams,
     bath_channels,
     channel_constants,
+    first_invalid,
     hamiltonian_terms,
     jump_operators,
     total_hamiltonian,
@@ -248,12 +249,14 @@ class SteadyStates:
         return block_engine().layout.matrices(self.x[k])
 
 
-def generator_coefficients(p: SystemParams) -> list[float]:
-    """coef_c(p) of the 14 generator terms, in ``generator_table`` order."""
-    coef = [float(getattr(p, name)) for name in HAMILTONIAN_FIELDS]
-    for delta_e, kappa, temperature in channel_constants(p):
-        coef += channel_rates(delta_e, kappa, temperature)
-    return coef
+def generator_coefficients(rows: np.ndarray) -> np.ndarray:
+    """coef_c of the 14 terms, in ``generator_table`` order, at (n, 12) rows in ``PARAM_FIELDS`` order, as (n, 14).
+
+    Every rate is ``channel_rates``' own float, one ``math.expm1`` each, so no row depends on the rows beside it.
+    """
+    coef = [[p[name] for name in HAMILTONIAN_FIELDS] + [rate for c in channel_constants(p) for rate in channel_rates(*c)]
+            for p in (dict(zip(PARAM_FIELDS, row)) for row in rows.tolist())]
+    return np.array(coef, dtype=float).reshape(len(coef), len(HAMILTONIAN_FIELDS) + 2 * len(CHANNEL_LABELS))
 
 
 @functools.cache
@@ -273,8 +276,8 @@ def generator_table() -> tuple[np.ndarray, np.ndarray]:
 
 def chain_liouvillian(p: SystemParams) -> Liouvillian:
     """The chain's generator at one parameter point, as coefficients times ``generator_table``."""
-    matrix = generator_matrix(*generator_table(), generator_coefficients(p), DIM)
-    return Liouvillian(matrix=matrix, hamiltonian=total_hamiltonian(p), channels=bath_channels(p))
+    coef = generator_coefficients(np.array([[getattr(p, name) for name in PARAM_FIELDS]]))[0]
+    return Liouvillian(generator_matrix(*generator_table(), coef, DIM), total_hamiltonian(p), bath_channels(p))
 
 
 # Each bath's dissipator terms, as a (3, 8) mask: channel k owns terms 2k (its jump) and 2k + 1 (the adjoint).
@@ -562,27 +565,28 @@ def block_engine() -> BlockEngine:
     return BlockEngine()
 
 
-def steady_states(points: Sequence[SystemParams], threads: int = 1) -> SteadyStates:
-    """Steady states of many points, solved in chunks of ``CHUNK`` by the block engine.
+def steady_states(rows: np.ndarray, threads: int = 1) -> SteadyStates:
+    """Steady states of (n, 12) parameter rows in ``PARAM_FIELDS`` order, solved in chunks of ``CHUNK`` by the block engine.
 
-    The checks and bounds are ``steady_state``'s, the residual bound
-    ``RESIDUAL_TOL`` included. A point that fails a check gets an
-    ``errors`` entry that names the check and NaN rows; the others are
-    unaffected. ``steady_state`` is the reference. With more than one
-    thread, a pool of that many maps the same chunks, which are joined in
-    the order of ``points``, so the rows never depend on the thread count.
-    No points give no rows.
+    A row that breaks a ``PARAM_RULES`` rule is a ValueError naming the row
+    and the rule, before any chunk is solved. The checks and bounds are
+    ``steady_state``'s, ``RESIDUAL_TOL`` included. A point that fails a check
+    gets an ``errors`` entry that names the check and NaN rows; the others
+    are unaffected. ``steady_state`` is the reference. With more than one
+    thread, a pool of that many maps the same chunks, joined in row order,
+    so the rows never depend on the thread count. No rows give no rows.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
+    if (invalid := first_invalid(rows)) is not None:
+        raise ValueError("parameter row {}: {}".format(*invalid))
     engine = block_engine()  # built before the pool starts, so that the workers share one
 
     def solve(start: int) -> SteadyStates:
-        chunk = points[start: start + CHUNK]
-        coef = np.array([generator_coefficients(p) for p in chunk]).reshape(len(chunk), len(engine.null_terms))
+        coef = generator_coefficients(rows[start: start + CHUNK])
         return engine.solve_blocks(*engine.assemble(coef), coef)
 
-    starts = range(0, max(len(points), 1), CHUNK)  # no points are one empty chunk
+    starts = range(0, max(len(rows), 1), CHUNK)  # no rows are one empty chunk
     if threads == 1:
         chunks = list(map(solve, starts))
     else:

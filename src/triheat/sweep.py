@@ -1,25 +1,24 @@
 """Parameter-sweep engine: grid evaluation, deterministic ordering, CSV output.
 
-The whole grid, in grid order (axis2-major, axis1 fastest), is one call
-of the block engine ``steady_states``, which cuts it into fixed chunks and
-maps them over its thread pool; the rows never depend on the thread count.
-Derived columns are evaluated on the whole grid before any solve. A sweep's
-result is one ``SweepTable`` of columns. Failed solves are kept as rows with
-the name of the check that failed, and status 'solver_failed' in the CSV,
-never dropped.
+The whole grid, one (n, 12) array of rows in grid order (axis2-major, axis1
+fastest), is one call of the block engine ``steady_states``, which cuts it
+into fixed chunks and maps them over its thread pool; the rows never depend
+on the thread count. Rows are validated, and derived columns evaluated, on the
+whole grid before any solve. A sweep's result is one ``SweepTable`` of
+columns. Failed solves are kept as rows with the name of the check that
+failed, and status 'solver_failed' in the CSV, never dropped.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import DERIVED_NAMES, PARAM_FIELDS, ConfigError, SweepSpec, csv_columns
-from .model import SystemParams
+from .config import DERIVED_NAMES, ConfigError, SweepSpec, csv_columns
+from .model import PARAM_FIELDS, first_invalid
 from .solvers import steady_states
 
 # The per-point path is no longer called here. perfbench's tracer wraps these
@@ -44,37 +43,32 @@ class SweepTable:
     reasons: list[str]
 
 
-def grid_points(spec: SweepSpec) -> list[SystemParams]:
-    """All parameter records of the grid, axis2-major, axis1 fastest.
+def grid_points(spec: SweepSpec) -> np.ndarray:
+    """The grid as (n, 12) parameter rows in ``PARAM_FIELDS`` order, axis2-major, axis1 fastest.
 
-    Every point is validated here, before any solve, so an invalid corner
+    Every row is validated here, before any solve, so an invalid corner
     (say a temperature crossing zero) aborts the sweep up front with a
-    ``ConfigError`` that names the point's swept values.
+    ``ConfigError`` that names the first invalid point's swept values.
     """
-    axis1_values = spec.axis1.values()
-    axis2_values = spec.axis2.values() if spec.axis2 is not None else [None]
-    points = []
-    for v2 in axis2_values:
-        for v1 in axis1_values:
-            updates = {spec.axis1.field_name: float(v1)}
-            if spec.axis2 is not None:
-                updates[spec.axis2.field_name] = float(v2)
-            try:
-                points.append(dataclasses.replace(spec.base, **updates))
-            except ValueError as exc:
-                swept = ", ".join(f"{name} = {value!r}" for name, value in updates.items())
-                raise ConfigError(f"grid point {swept}: {exc}") from None
-    return points
+    n1, n2 = spec.axis1.count, spec.axis2.count if spec.axis2 is not None else 1
+    rows = np.tile([getattr(spec.base, name) for name in PARAM_FIELDS], (n1 * n2, 1))
+    rows[:, PARAM_FIELDS.index(spec.axis1.field_name)] = np.tile(spec.axis1.values(), n2)
+    if spec.axis2 is not None:
+        rows[:, PARAM_FIELDS.index(spec.axis2.field_name)] = np.repeat(spec.axis2.values(), n1)
+    if (invalid := first_invalid(rows)) is not None:
+        point = dict(zip(PARAM_FIELDS, rows[invalid[0]].tolist()))  # Python floats, whose repr is the value's
+        swept = ", ".join(f"{a.field_name} = {point[a.field_name]!r}" for a in (spec.axis1, spec.axis2) if a is not None)
+        raise ConfigError(f"grid point {swept}: {invalid[1]}")
+    return rows
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepTable:
     """Evaluate the whole grid; output order is independent of thread count."""
-    points = grid_points(spec)
-    params = np.array([[getattr(p, name) for name in PARAM_FIELDS] for p in points], dtype=float).T
-    envs = [{name: getattr(p, name) for name in DERIVED_NAMES} for p in points]
+    rows = grid_points(spec)
+    envs = [dict(zip(DERIVED_NAMES, row)) for row in rows[:, [PARAM_FIELDS.index(n) for n in DERIVED_NAMES]].tolist()]
     derived = np.array([[c.fn(env) for c in spec.derived] for env in envs], dtype=float).T
-    solved = steady_states(points, threads)
-    columns = [*params, *solved.currents.T, solved.residual, *derived]  # csv_columns' order, status aside
+    solved = steady_states(rows, threads)
+    columns = [*rows.T, *solved.currents.T, solved.residual, *derived]  # csv_columns' order, status aside
     return SweepTable(dict(zip(csv_columns(spec), columns)),
                       [error.reason if error is not None else "" for error in solved.errors])
 

@@ -1,5 +1,6 @@
 """Shared operating points and solve helpers for the test suite."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from triheat import (
     gibbs_state,
     steady_state,
 )
+from triheat.model import PARAM_FIELDS
 
 # Transfer-curve operating point: hot left drain, cold gate and source.
 TRANSFER_PARAMS = SystemParams(
@@ -52,6 +54,11 @@ def seeded_points(seed=2027, count=48, t_min=0.01):
             t_l=float(temps[0]), t_m=float(temps[1]), t_r=float(temps[2]),
         ))
     return points
+
+
+def param_rows(points) -> np.ndarray:
+    """Parameter records as the (n, 12) rows in ``PARAM_FIELDS`` order that the engine takes."""
+    return np.array([dataclasses.astuple(p) for p in points], dtype=float).reshape(-1, len(PARAM_FIELDS))
 
 
 def solve(params: SystemParams) -> SteadyStateResult:

@@ -16,6 +16,7 @@ import pytest
 from triheat import (
     DensityMatrix,
     SteadyStateError,
+    SystemParams,
     chain_liouvillian,
     evolve,
     occupation,
@@ -100,9 +101,9 @@ def test_04_state_validity_everywhere(figure_grids):
         spec, table, _ = figure_grids[name]
         j_l, j_m, j_r = (table.columns[c].tolist() for c in ("j_l", "j_m", "j_r"))
         scale = max(max(abs(a), abs(b), abs(c)) for a, b, c in zip(j_l, j_m, j_r))
-        for k, (p, reason) in enumerate(zip(grid_points(spec), table.reasons)):
+        for k, (row, reason) in enumerate(zip(grid_points(spec).tolist(), table.reasons)):
             try:
-                result = solve(p)
+                result = solve(SystemParams(*row))
             except SteadyStateError:
                 status_ok = status_ok and reason != ""  # status solver_failed
                 continue

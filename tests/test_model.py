@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from triheat import (
     total_hamiltonian,
     transition_ops,
 )
-from triheat.model import HAMILTONIAN_FIELDS
+from triheat.model import HAMILTONIAN_FIELDS, PARAM_FIELDS, first_invalid
 from conftest import TRANSFER_PARAMS
 
 energy = st.floats(min_value=0.1, max_value=5.0, allow_nan=False)
@@ -38,24 +39,40 @@ class TestSystemParams:
     @pytest.mark.parametrize(
         "bad",
         [
-            {"e1": 0.0},
-            {"e1": -1.0},
-            {"e3": 0.5},  # must exceed e2=1.0
-            {"g_lm": -0.1},
-            {"kappa_m": 0.0},
-            {"t_r": -0.2},
-            {"t_l": 0.0},
+            ({"e1": 0.0}, "qubit/qutrit excitation energies must be positive"),
+            ({"e1": -1.0}, "qubit/qutrit excitation energies must be positive"),
+            ({"e3": 0.5}, "upper qutrit level e3 must lie above e2"),  # must exceed e2=1.0
+            ({"g_lm": -0.1}, "couplings must be nonnegative"),
+            ({"kappa_m": 0.0}, "dissipation rates must be positive"),
+            ({"t_r": -0.2}, "bath temperatures must be positive"),
+            ({"t_l": 0.0}, "bath temperatures must be positive"),
         ],
     )
     def test_invariants_rejected(self, bad):
-        with pytest.raises(ValueError):
-            dataclasses.replace(TRANSFER_PARAMS, **bad)
+        updates, message = bad
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(TRANSFER_PARAMS, **updates)
+        # a grid reads the same rule table: the row after a valid one is named, with the same words
+        row = [updates.get(name, getattr(TRANSFER_PARAMS, name)) for name in PARAM_FIELDS]
+        assert first_invalid(np.array([dataclasses.astuple(TRANSFER_PARAMS), row])) == (1, message)
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SystemParams)])
     def test_non_finite_rejected_by_name(self, name, value):
-        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
             dataclasses.replace(TRANSFER_PARAMS, **{name: value})
+        row = np.array([[value if field == name else getattr(TRANSFER_PARAMS, field) for field in PARAM_FIELDS]])
+        assert first_invalid(row) == (0, f"{name} must be finite, got {value}")
+
+    def test_grid_names_its_first_invalid_row_and_first_rule(self):
+        # row 1 breaks the temperature rule, row 2 the coupling rule and finiteness; rows are
+        # taken in order, and a row's rules in table order, as SystemParams of each would raise
+        rows = np.array([dataclasses.astuple(TRANSFER_PARAMS)] * 3)
+        rows[1, PARAM_FIELDS.index("t_m")] = -1.0
+        rows[2, [PARAM_FIELDS.index("g_mr"), PARAM_FIELDS.index("t_r")]] = -1.0, math.nan
+        assert first_invalid(rows) == (1, "bath temperatures must be positive")
+        assert first_invalid(rows[2:]) == (0, "t_r must be finite, got nan")
+        assert first_invalid(rows[:1]) is None and first_invalid(np.empty((0, len(PARAM_FIELDS)))) is None
 
 
 def basis_index(i, j, k):

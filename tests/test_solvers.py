@@ -44,8 +44,10 @@ from triheat.solvers import (
     invariant_support,
 )
 from triheat.observables import bath_currents
+from triheat.lindblad import channel_rates
+from triheat.model import HAMILTONIAN_FIELDS, PARAM_FIELDS
 from triheat.sweep import grid_points
-from conftest import TRANSFER_PARAMS, product_gibbs, random_density, random_hermitian, seeded_points, solve
+from conftest import TRANSFER_PARAMS, param_rows, product_gibbs, random_density, random_hermitian, seeded_points, solve
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 QUBIT_LOWER = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -719,7 +721,7 @@ class TestSolverAgreement:
 def pinned_systems(points, scale=None):
     """The points' blocks, with the null block times ``scale`` per point, and its trace-pinned systems and their inverses."""
     engine = block_engine()
-    blocks = engine.assemble(np.array([generator_coefficients(p) for p in points]))
+    blocks = engine.assemble(generator_coefficients(param_rows(points)))
     if scale is not None:
         blocks[0][...] *= scale[:, None, None]
     system = blocks[0].copy()
@@ -740,7 +742,7 @@ class TestBlockEngine:
         # two points with every rate below the degeneracy bound must fail in both
         tiny = dataclasses.replace(TRANSFER_PARAMS, kappa_l=1e-12, kappa_m=1e-12, kappa_r=1e-12)
         points = seeded_points() + [tiny, dataclasses.replace(tiny, g_lm=0.0, g_mr=0.0)]
-        solved = steady_states(points)
+        solved = steady_states(param_rows(points))
         oracle = []
         for p in points:
             try:
@@ -772,7 +774,7 @@ class TestBlockEngine:
         for p in seeded_points(count=12) + slow:
             full = np.linalg.svd(build_superoperator(total_hamiltonian(p), bath_channels(p)).matrix,
                                  compute_uv=False)
-            ours = steady_states([p])
+            ours = steady_states(param_rows([p]))
             (error,) = ours.errors
             assert ours.gap[0] <= full[-2], p
             assert (error is not None and error.reason == "non_unique") == (full[-2] < DEGENERACY_TOL), p
@@ -788,7 +790,7 @@ class TestBlockEngine:
         ]
         points = seeded_points(seed=14, count=48, t_min=5e-4) + slow
         engine = block_engine()
-        _, coherence = engine.assemble(np.array([generator_coefficients(p) for p in points]))
+        _, coherence = engine.assemble(generator_coefficients(param_rows(points)))
         smallest = np.stack([np.linalg.svd(b, compute_uv=False)[:, -1] for b in engine.coherence_blocks(coherence)],
                             axis=1)
         assert np.all(engine.singular_floors(coherence) <= smallest)
@@ -802,7 +804,7 @@ class TestBlockEngine:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        solved = steady_states(points)
+        solved = steady_states(param_rows(points))
         monkeypatch.undo()
         for p, gap, error in zip(points, solved.gap, solved.errors):
             full = np.linalg.svd(build_superoperator(total_hamiltonian(p), bath_channels(p)).matrix,
@@ -827,7 +829,7 @@ class TestBlockEngine:
         # allowance, does not clear the bound, and the measured sigma_2 does
         engine = block_engine()
         points = seeded_points(count=5)
-        coef = np.array([generator_coefficients(p) for p in points])
+        coef = generator_coefficients(param_rows(points))
         _, system, inverse = pinned_systems(points)
         # S(c) is diag(c, .., 1 at the pinned row, .., c) S(1), so S(c)^-1 has every column but pinned over c
         pinned = engine.layout.diagonal[0]
@@ -854,7 +856,7 @@ class TestBlockEngine:
         solved = engine.solve_blocks(*blocks, coef)
         monkeypatch.undo()
         assert len(measured) == 1 and np.array_equal(measured[0], blocks[0][2:3])
-        reference = steady_states(points)
+        reference = steady_states(param_rows(points))
         assert solved.errors == [None] * 5
         assert solved.gap[2] <= sigma
         for k in (0, 1, 3, 4):
@@ -863,14 +865,14 @@ class TestBlockEngine:
 
     def test_shipped_grids_make_no_svd_call(self, monkeypatch):
         # every null block's pinned floor and every coherence block's floor clear the bound
-        points = [p for name in ("transfer_curve", "output_curves", "coupling_gate_map")
-                  for p in grid_points(load_sweep(SCRIPTS / f"{name}.cfg"))]
-        assert len(points) == 1160
+        rows = np.concatenate([grid_points(load_sweep(SCRIPTS / f"{name}.cfg"))
+                               for name in ("transfer_curve", "output_curves", "coupling_gate_map")])
+        assert rows.shape == (1160, 12)
         calls, inverses = [], []
         monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: calls.append(a.shape))
         inv = np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(a.dtype) or inv(a))
-        solved = steady_states(points)
+        solved = steady_states(rows)
         assert calls == []
         assert inverses and set(inverses) == {np.dtype(float)}  # the null blocks are real
         assert solved.errors == [None] * 1160
@@ -885,29 +887,29 @@ class TestBlockEngine:
         counts = {}
         for name in ("transfer_curve", "output_curves", "coupling_gate_map"):
             factored.clear()
-            points = grid_points(load_sweep(SCRIPTS / f"{name}.cfg"))
-            assert steady_states(points).errors == [None] * len(points)
+            rows = grid_points(load_sweep(SCRIPTS / f"{name}.cfg"))
+            assert steady_states(rows).errors == [None] * len(rows)
             counts[name] = sum(factored)
         assert counts["transfer_curve"] == counts["output_curves"] == 0
         assert 0 < counts["coupling_gate_map"] < 900
 
     def test_shipped_grids_make_no_eigvalsh_call(self, monkeypatch):
         # every state passes StateSupport.broken_bounds, so no point's full matrix is measured
-        points = [p for name in ("transfer_curve", "output_curves", "coupling_gate_map")
-                  for p in grid_points(load_sweep(SCRIPTS / f"{name}.cfg"))]
-        assert len(points) == 1160
+        rows = np.concatenate([grid_points(load_sweep(SCRIPTS / f"{name}.cfg"))
+                               for name in ("transfer_curve", "output_curves", "coupling_gate_map")])
+        assert rows.shape == (1160, 12)
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda a, *args, **kwargs: calls.append(a.shape) or eigvalsh(a, *args, **kwargs))
-        solved = steady_states(points)
+        solved = steady_states(rows)
         assert calls == []
         assert solved.errors == [None] * 1160
 
     def test_refused_pivots_fail_every_point_naming_the_eigenvalue_check(self, monkeypatch):
         # the message names the bound the state check broke, even where the measured eigenvalue clears it
         monkeypatch.setattr(StateSupport, "bounded_below", lambda self, x, floor: np.zeros(len(x), dtype=bool))
-        solved = steady_states(seeded_points(count=20))
+        solved = steady_states(param_rows(seeded_points(count=20)))
         assert [e.reason for e in solved.errors] == ["invalid_state"] * 20
         for error in solved.errors:
             assert re.fullmatch(r"steady state violates state invariants: "
@@ -924,7 +926,7 @@ class TestBlockEngine:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        solved = steady_states(points)
+        solved = steady_states(param_rows(points))
         monkeypatch.undo()
         assert solved.errors == [None] * len(points)
         assert measured["null"] == 0
@@ -932,7 +934,7 @@ class TestBlockEngine:
 
     def test_overflowing_floor_rules_nothing_out(self):
         engine = block_engine()
-        _, coherence = engine.assemble(np.array([generator_coefficients(p) for p in seeded_points(count=2)]))
+        _, coherence = engine.assemble(generator_coefficients(param_rows(seeded_points(count=2))))
         first, second = engine.coherence_blocks(coherence)[:2]  # views of the entries
         first[1, 0, 0] = 1.7e308 * (1 + 1j)  # its magnitude overflows
         second[1, 0, 1] = second[1, 0, 2] = 1.7e308  # so does the row's sum
@@ -968,7 +970,7 @@ class TestBlockEngine:
             full = build_superoperator(total_hamiltonian(p), bath_channels(p)).matrix
             # no coupling between components, exactly
             assert np.all(full[label[:, None] != label[None, :]] == 0)
-            null, coherence = engine.assemble(np.array([generator_coefficients(p)]))
+            null, coherence = engine.assemble(generator_coefficients(param_rows([p])))
             assert null.dtype == float and coherence.shape == (1, sum(m * m for m in engine.sizes[1:]))
             # the null block is U^H B U of the generator's, whose imaginary part is rounding
             block = full[np.ix_(engine.index[0], engine.index[0])]
@@ -991,8 +993,8 @@ class TestBlockEngine:
         # (the second-smallest for the null block) is below the bound
         engine = block_engine()
         points = seeded_points(count=5)
-        coef = np.array([generator_coefficients(p) for p in points])
-        reference = steady_states(points)
+        coef = generator_coefficients(param_rows(points))
+        reference = steady_states(param_rows(points))
         for b in range(len(engine.index)):
             null, coherence = engine.assemble(coef)
             block = null if b == 0 else engine.coherence_blocks(coherence)[b - 1]  # a view of the entries
@@ -1019,7 +1021,7 @@ class TestBlockEngine:
 
     def test_unreachable_tolerance_fails_every_point_with_residual(self, monkeypatch):
         monkeypatch.setattr(solvers, "RESIDUAL_TOL", 1e-40)
-        solved = steady_states(seeded_points(count=4))
+        solved = steady_states(param_rows(seeded_points(count=4)))
         assert [e.reason for e in solved.errors] == ["residual"] * 4
         assert isinstance(solved.errors[0], SteadyStateError)
         assert re.search(r"residual .* > 1\.0e-40$", str(solved.errors[0]))
@@ -1028,7 +1030,7 @@ class TestBlockEngine:
         # the engine and the oracle decide conservation by one function, which reads the bound at call time
         monkeypatch.setattr(solvers, "BALANCE_TOL", 1e-40)
         points = seeded_points(count=4)
-        solved = steady_states(points)
+        solved = steady_states(param_rows(points))
         assert [e.reason for e in solved.errors] == ["unbalanced"] * 4
         unbalanced = r"^steady-state currents do not balance: sum \d\.\d{3}e[-+]\d+$"
         assert isinstance(solved.errors[0], SteadyStateError)
@@ -1047,7 +1049,7 @@ class TestBlockEngine:
     def test_bad_matrix_fails_alone(self, inject, reason):
         engine = block_engine()
         points = seeded_points(count=5)
-        coef = np.array([generator_coefficients(p) for p in points])
+        coef = generator_coefficients(param_rows(points))
         null, coherence = engine.assemble(coef)
         x = np.zeros(null.shape[1], dtype=complex)
         if inject == "nan":
@@ -1073,7 +1075,7 @@ class TestBlockEngine:
             y = (engine.layout.basis.conj().T @ x).real
             null[2] = np.eye(len(y)) - np.outer(y, y) / (y @ y)
         solved = engine.solve_blocks(null, coherence, coef)
-        reference = steady_states(points)
+        reference = steady_states(param_rows(points))
         assert solved.errors[2] is not None and solved.errors[2].reason == reason
         if inject == "indefinite":
             assert str(solved.errors[2]) == ("steady state violates state invariants: "
@@ -1085,10 +1087,11 @@ class TestBlockEngine:
             assert np.array_equal(solved.currents[k], reference.currents[k])
 
     def test_infinite_rate_fails_alone(self):
-        points = seeded_points(count=3)
-        # SystemParams rejects non-finite fields, so set one past its validation
-        object.__setattr__(points[1], "kappa_l", math.inf)
-        solved = steady_states(points)
+        # every field is finite and valid, but kappa_l * (n + 1) overflows to an infinite rate
+        rows = param_rows(seeded_points(count=3))
+        rows[1, [PARAM_FIELDS.index("kappa_l"), PARAM_FIELDS.index("t_l")]] = 1e308, 1e3
+        assert generator_coefficients(rows[1:2])[0, 6] == math.inf
+        solved = steady_states(rows)
         assert [e.reason if e else "ok" for e in solved.errors] == ["ok", "non_finite", "ok"]
 
     def test_threads_match_one_thread_over_three_chunks(self):
@@ -1096,7 +1099,7 @@ class TestBlockEngine:
         # degeneracy bound fails in the middle chunk
         points = seeded_points(count=2 * solvers.CHUNK + 8)
         points[solvers.CHUNK + 4] = dataclasses.replace(TRANSFER_PARAMS, kappa_l=1e-12, kappa_m=1e-12, kappa_r=1e-12)
-        serial, threaded = steady_states(points, threads=1), steady_states(points, threads=3)
+        serial, threaded = steady_states(param_rows(points), threads=1), steady_states(param_rows(points), threads=3)
         assert [e.reason if e else "ok" for e in serial.errors].count("non_unique") == 1
         assert serial.errors[solvers.CHUNK + 4] is not None
         for name in ("x", "residual", "currents", "gap"):
@@ -1107,7 +1110,7 @@ class TestBlockEngine:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_no_points_give_no_rows(self, threads):
-        solved = steady_states([], threads=threads)
+        solved = steady_states(np.empty((0, 12)), threads=threads)
         assert solved.x.shape == (0, 26) and solved.x.dtype == complex
         assert solved.currents.shape == (0, 3) and solved.residual.shape == solved.gap.shape == (0,)
         assert solved.errors == []
@@ -1115,16 +1118,45 @@ class TestBlockEngine:
     def test_threads_below_one_are_rejected_before_any_solve(self, monkeypatch):
         monkeypatch.setattr(solvers, "block_engine", lambda: pytest.fail("solved with no threads"))
         with pytest.raises(ValueError, match="^threads must be at least 1$"):
-            steady_states([TRANSFER_PARAMS], threads=0)
+            steady_states(param_rows([TRANSFER_PARAMS]), threads=0)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_invalid_row_is_named_before_any_solve(self, monkeypatch, threads):
+        # a negative rate in the second chunk: no chunk is solved, not even the first
+        rows = param_rows(seeded_points(count=2 * solvers.CHUNK))
+        rows[solvers.CHUNK + 3, PARAM_FIELDS.index("kappa_m")] = -0.02
+        monkeypatch.setattr(solvers, "block_engine", lambda: pytest.fail("solved an invalid grid"))
+        monkeypatch.setattr(solvers, "generator_coefficients", lambda rows: pytest.fail("solved an invalid grid"))
+        message = f"^parameter row {solvers.CHUNK + 3}: dissipation rates must be positive$"
+        with pytest.raises(ValueError, match=message):
+            steady_states(rows, threads=threads)
 
     def test_batch_of_one_result_is_a_density_matrix(self):
-        solved = steady_states([TRANSFER_PARAMS])
+        solved = steady_states(param_rows([TRANSFER_PARAMS]))
         assert solved.errors == [None] and np.isfinite(solved.currents).all()
         state = DensityMatrix(solved.rho(0))
         assert trace_distance(state, solve(TRANSFER_PARAMS).state) <= 1e-10
 
 
 class TestGeneratorTable:
+    def test_rows_are_the_fields_and_channel_rates_bit_for_bit(self):
+        # the figure rows, and a row at t_m = 1e-3, where e2 / t_m = 1000 > 700 makes both
+        # middle occupations exactly 0: each row is its Hamiltonian fields, then channel_rates
+        # of each channel of its record, and an n-row call holds the one-row calls' bits
+        rows = np.concatenate([grid_points(load_sweep(SCRIPTS / f"{name}.cfg"))
+                               for name in ("transfer_curve", "output_curves", "coupling_gate_map")]
+                              + [param_rows([dataclasses.replace(TRANSFER_PARAMS, t_m=1e-3)])])
+        coef = generator_coefficients(rows)
+        assert coef.shape == (1161, 14) and coef.dtype == float
+        assert coef[-1, [9, 11]].tolist() == [0.0, 0.0] and coef[-1, [8, 10]].tolist() == [0.02, 0.02]
+        for k, row in enumerate(rows.tolist()):
+            p = SystemParams(*row)
+            expected = [getattr(p, name) for name in HAMILTONIAN_FIELDS]
+            for channel in bath_channels(p):
+                expected += channel_rates(channel.delta_e, channel.kappa, channel.temperature)
+            assert np.array(expected).tobytes() == coef[k].tobytes(), k
+            assert generator_coefficients(rows[k: k + 1]).tobytes() == coef[k].tobytes(), k
+
     def test_holds_the_joint_pattern_of_the_14_terms(self):
         positions, values = solvers.generator_table()
         assert positions.shape == (544,) and values.shape == (14, 544)
@@ -1137,7 +1169,7 @@ class TestGeneratorTable:
         # 700, so n = 0 in all four channels
         points = seeded_points(count=12)
         cold = [dataclasses.replace(p, t_l=5e-4, t_m=5e-4, t_r=5e-4) for p in points]
-        assert all(generator_coefficients(p)[7::2] == [0.0] * 4 for p in cold)
+        assert np.all(generator_coefficients(param_rows(cold))[:, 7::2] == 0.0)
         for p in points + cold:
             liou = chain_liouvillian(p)
             scale = np.max(np.abs(liou.matrix))
@@ -1189,7 +1221,7 @@ class TestCurrentTable:
             expected = np.array([[c.j_l, c.j_m, c.j_r] for c in expected])
             scale = np.max(np.abs(expected))
             x = np.array([vec(s.mat)[engine.layout.index] for s in states])
-            ours = engine.heat_currents(np.array([generator_coefficients(p)]), x)
+            ours = engine.heat_currents(generator_coefficients(param_rows([p])), x)
             worst = max(worst, np.max(np.abs(ours - expected)) / scale)
         # measured 4.4e-15 from the mixed start and 2.4e-14 from the random one, whose
         # (c, d) terms reach about 20 times the largest current and cancel
@@ -1197,8 +1229,8 @@ class TestCurrentTable:
 
     def test_non_hermitian_state_reads_as_its_hermitian_part(self, rng):
         engine = block_engine()
-        solved = steady_states([TRANSFER_PARAMS])
-        coef = np.array([generator_coefficients(TRANSFER_PARAMS)])
+        solved = steady_states(param_rows([TRANSFER_PARAMS]))
+        coef = generator_coefficients(param_rows([TRANSFER_PARAMS]))
         # an anti-Hermitian part on the null block's support, whose largest entry is 1e-3
         skew = engine.layout.matrices(rng.normal(size=26) + 1j * rng.normal(size=26))
         skew = vec(skew - skew.conj().T)[engine.layout.index]
@@ -1222,8 +1254,8 @@ class TestUnitScale:
         # and multiplies each current, an energy times a rate, by s^2 (measured <= 4.2e-15)
         points = [load_params(SCRIPTS / f"{name}.cfg") for name in ("transfer_curve", "output_curves",
                                                                      "coupling_gate_map")] + [DEFAULT_PARAMS]
-        scaled = [SystemParams(*(scale * v for v in dataclasses.astuple(p))) for p in points]
-        unit, solved = steady_states(points), steady_states(scaled)
+        scaled = scale * param_rows(points)
+        unit, solved = steady_states(param_rows(points)), steady_states(scaled)
         for k, p in enumerate(scaled):
             if solved.errors[k] is not None:
                 raise solved.errors[k]
@@ -1253,7 +1285,7 @@ class TestBlockEigenvalues:
              "uncoupled": dataclasses.replace(TRANSFER_PARAMS, g_lm=0.0, g_mr=0.0),
              "coupling_map_x1e-6": SystemParams(*(1e-6 * v for v in dataclasses.astuple(coupling)))}[case]
         matrix = build_superoperator(total_hamiltonian(p), bath_channels(p)).matrix
-        null, coherence = block_engine().assemble(np.array([generator_coefficients(p)]))
+        null, coherence = block_engine().assemble(generator_coefficients(param_rows([p])))
         blocks = [null, *block_engine().coherence_blocks(coherence)]  # U^H B U has B's eigenvalues
         ours, full = np.concatenate([np.linalg.eigvals(b[0]) for b in blocks]), np.linalg.eigvals(matrix)
         assert len(ours) == sum(block_engine().sizes) == 85

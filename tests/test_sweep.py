@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from triheat.config import RESULT_COLUMNS
 from triheat.svgplot import _span, emit_plot, plot_style
 from triheat.cli import cli_main
 from triheat.config import compile_derived
-from conftest import TRANSFER_PARAMS
+from conftest import TRANSFER_PARAMS, param_rows
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 BASE_CFG = """
 [energies]
@@ -278,10 +281,15 @@ class TestConfig:
 class TestGrid:
     def test_row_count_and_order(self, sweep_cfg):
         spec = load_sweep(sweep_cfg)
-        points = grid_points(spec)
-        assert len(points) == 12  # 3 x 4, axis2-major
-        assert [p.g_mr for p in points[:4]] == [0.05] * 4
-        assert [round(p.t_r, 10) for p in points[:4]] == [0.1, pytest.approx(0.2666666667), pytest.approx(0.4333333333), 0.6]
+        rows = grid_points(spec)
+        assert rows.shape == (12, len(PARAM_FIELDS))  # 3 x 4, axis2-major
+        g_mr, t_r = rows[:, PARAM_FIELDS.index("g_mr")], rows[:, PARAM_FIELDS.index("t_r")]
+        assert g_mr[:4].tolist() == [0.05] * 4
+        assert [round(t, 10) for t in t_r[:4].tolist()] == [0.1, pytest.approx(0.2666666667), pytest.approx(0.4333333333), 0.6]
+        # the rows of the records the base makes with each point's swept values, bit for bit
+        records = [dataclasses.replace(spec.base, t_r=float(v1), g_mr=float(v2))
+                   for v2 in spec.axis2.values() for v1 in spec.axis1.values()]
+        assert rows.tobytes() == param_rows(records).tobytes()
 
     def test_grid_validated_before_solving(self):
         spec = SweepSpec(
@@ -292,11 +300,31 @@ class TestGrid:
             run_sweep(spec)
 
 
+    @pytest.mark.parametrize("axis1, axis2, point, rule", [
+        # the first invalid point in grid order, although later points break the temperature rule
+        ("energies.e2 : 1.0 : 4.0 : 4", "temperatures.t_m : 0.5 : -0.5 : 3", "e2 = 3.0, t_m = 0.5",
+         "upper qutrit level e3 must lie above e2"),
+        # one point breaks two rules, and the first in rule order is named
+        ("energies.e2 : 4.0 : 5.0 : 2", "temperatures.t_m : -0.5 : 0.5 : 3", "e2 = 4.0, t_m = -0.5",
+         "upper qutrit level e3 must lie above e2"),
+    ], ids=["grid_order", "rule_order"])
+    def test_first_invalid_point_names_its_first_rule(self, tmp_path, monkeypatch, capsys, axis1, axis2, point, rule):
+        text = (SCRIPTS / "output_curves.cfg").read_text(encoding="utf-8")
+        text = re.sub(r"(?m)^axis1 = .*$", f"axis1 = {axis1}", text)
+        path = tmp_path / "bad.cfg"
+        path.write_text(re.sub(r"(?m)^axis2 = .*$", f"axis2 = {axis2}", text), encoding="utf-8")
+        monkeypatch.setattr(triheat.sweep, "steady_states", lambda *args, **kw: pytest.fail("solved"))
+        argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "bad.csv"), "--plot", str(tmp_path / "bad.svg")]
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == f"error: grid point {point}: {rule}\n"
+        assert not (tmp_path / "bad.csv").exists()
+
+
 class TestRunSweep:
     def test_identical_points_identical_rows(self):
         # the engine's batch of one, solved twice
-        row_a = steady_states([TRANSFER_PARAMS])
-        row_b = steady_states([TRANSFER_PARAMS])
+        row_a = steady_states(param_rows([TRANSFER_PARAMS]))
+        row_b = steady_states(param_rows([TRANSFER_PARAMS]))
         assert row_a.currents.shape == (1, 3)
         assert np.array_equal(row_a.currents, row_b.currents)
         assert np.array_equal(row_a.residual, row_b.residual)
@@ -402,12 +430,12 @@ def synthetic_spec(n1, n2=None, derived=()):
 
 def synthetic_table(spec, values):
     """A table over the spec's grid with j_l = values, whose non-finite values are failed rows."""
-    points = grid_points(spec)
-    columns = {name: np.array([getattr(p, name) for p in points]) for name in PARAM_FIELDS}
-    columns.update(j_l=np.array(values, dtype=float), j_m=np.zeros(len(points)), j_r=np.zeros(len(points)),
-                   residual=np.full(len(points), 1e-15))
+    rows = grid_points(spec)
+    columns = dict(zip(PARAM_FIELDS, rows.T))
+    columns.update(j_l=np.array(values, dtype=float), j_m=np.zeros(len(rows)), j_r=np.zeros(len(rows)),
+                   residual=np.full(len(rows), 1e-15))
     for c in spec.derived:
-        columns[c.name] = np.array([c.fn({"t_l": p.t_l, "t_m": p.t_m, "t_r": p.t_r}) for p in points])
+        columns[c.name] = np.array([c.fn(dict(zip(PARAM_FIELDS, row))) for row in rows.tolist()])
     return SweepTable(columns, ["" if math.isfinite(v) else "residual" for v in values])
 
 
@@ -456,14 +484,14 @@ class TestEmitPlot:
         assert _span(values) == span
 
     def test_heatmap_cell_count(self, tmp_path):
-        spec = dataclasses.replace(synthetic_spec(4, 12))
+        spec = synthetic_spec(4, 12)
         table = synthetic_table(spec, list(np.linspace(-1, 1, 48)))
         out = tmp_path / "map.svg"
         emit_plot(table, spec, out)
         assert out.read_text(encoding="utf-8").count('class="cell"') == 48
 
     def test_failed_point_gets_nan_cell(self, tmp_path):
-        spec = dataclasses.replace(synthetic_spec(4, 12))
+        spec = synthetic_spec(4, 12)
         values = list(np.linspace(-1, 1, 48))
         values[5] = float("nan")
         table = synthetic_table(spec, values)
