@@ -13,7 +13,6 @@ from triheat import (
     gibbs_state,
     steady_state,
 )
-from triheat.model import PARAM_FIELDS
 
 # Transfer-curve operating point: hot left drain, cold gate and source.
 TRANSFER_PARAMS = SystemParams(
@@ -58,7 +57,7 @@ def seeded_points(seed=2027, count=48, t_min=0.01):
 
 def param_rows(points) -> np.ndarray:
     """Parameter records as the (n, 12) rows in ``PARAM_FIELDS`` order that the engine takes."""
-    return np.array([dataclasses.astuple(p) for p in points], dtype=float).reshape(-1, len(PARAM_FIELDS))
+    return np.array([dataclasses.astuple(p) for p in points], dtype=float)
 
 
 def solve(params: SystemParams) -> SteadyStateResult:
